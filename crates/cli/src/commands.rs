@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use crate::meta::{mode_from_str, strategy_from_str, ModelMeta};
+use pde_commsim::ChaosPlan;
 use pde_euler::dataset::{DataSet, SnapshotRecorder};
 use pde_euler::{Boundary, InitialCondition, SolverConfig};
 use pde_ml_core::arch::ArchSpec;
@@ -11,6 +12,7 @@ use pde_ml_core::report::Csv;
 use pde_nn::serialize::{load_params, restore, save_params, snapshot};
 use pde_perfmodel::scaling::format_scaling_table;
 use pde_perfmodel::{strong_scaling, weak_scaling, CostModel};
+use pde_tensor::Tensor3;
 use std::path::{Path, PathBuf};
 
 /// Finishes a `--trace` session: writes the Chrome-trace JSON (openable in
@@ -247,6 +249,60 @@ pub(crate) fn halo_policy_from_args(args: &Args) -> Result<HaloPolicy, String> {
     }
 }
 
+/// `--fault` as a [`FaultPlan`] for a `ranks`-rank world. Refused under the
+/// strict halo policy, which would hang on the first lost strip, and
+/// rank-checked so a plan naming a missing rank is an error, not a no-op.
+pub(crate) fn fault_from_args(
+    args: &Args,
+    policy: HaloPolicy,
+    ranks: usize,
+) -> Result<Option<FaultPlan>, String> {
+    let Some(spec) = args.get("fault") else {
+        return Ok(None);
+    };
+    if policy == HaloPolicy::Strict {
+        return Err(
+            "--fault with --halo-policy strict would hang on the first lost halo; \
+             pick zero-fill or last-known"
+                .into(),
+        );
+    }
+    FaultPlan::parse_for(spec, ranks).map(Some)
+}
+
+/// `--kill-rank-at RANK:REQUEST[:STEP]` as a rank-checked [`ChaosPlan`] for
+/// a `ranks`-rank world: that rank dies before that step of that request.
+pub(crate) fn chaos_from_args(args: &Args, ranks: usize) -> Result<Option<ChaosPlan>, String> {
+    let Some(spec) = args.get("kill-rank-at") else {
+        return Ok(None);
+    };
+    if !args.flag("self-heal") {
+        return Err(
+            "--kill-rank-at kills a rank mid-batch, which only ends well with \
+             --self-heal (otherwise the world poisons or hangs)"
+                .into(),
+        );
+    }
+    ChaosPlan::parse_for(&format!("kill:{spec}"), ranks).map(Some)
+}
+
+/// The built-in `--quick` fleet: the tiny net trained with `strategy` over
+/// `ranks` ranks on the 16x16 paper pulse, plus the pulse's first state.
+/// Deterministic, so every process of a world builds bitwise-identical
+/// weights. Callers apply their own halo policy and fault plan.
+pub(crate) fn quick_fleet(
+    strategy: PaddingStrategy,
+    ranks: usize,
+) -> Result<(ParallelInference, Tensor3), String> {
+    let data = pde_euler::dataset::paper_dataset(16, 8);
+    let arch = ArchSpec::tiny();
+    let outcome = ParallelTrainer::new(arch.clone(), strategy, TrainConfig::quick_test())
+        .train_view(&data, 6, ranks)
+        .map_err(|e| e.to_string())?;
+    let inf = ParallelInference::from_outcome(arch, strategy, &outcome);
+    Ok((inf, data.snapshot(0).clone()))
+}
+
 /// `pdeml infer` — parallel rollout from a stored model + dataset.
 pub fn infer(args: &Args) -> Result<(), String> {
     let data_path = PathBuf::from(args.require("data")?);
@@ -257,16 +313,8 @@ pub fn infer(args: &Args) -> Result<(), String> {
     let (meta, mut inf) = load_fleet(&model_dir)?;
     let policy = halo_policy_from_args(args)?;
     inf = inf.with_halo_policy(policy);
-    if let Some(spec) = args.get("fault") {
-        if policy == HaloPolicy::Strict {
-            return Err(
-                "--fault with --halo-policy strict would hang on the first lost halo; \
-                 pick zero-fill or last-known"
-                    .into(),
-            );
-        }
-        // parse_for also rejects plans naming ranks this fleet doesn't have.
-        inf = inf.with_fault_plan(FaultPlan::parse_for(spec, meta.partition.rank_count())?);
+    if let Some(plan) = fault_from_args(args, policy, meta.partition.rank_count())? {
+        inf = inf.with_fault_plan(plan);
     }
     let default_start = data.len().saturating_sub(steps + 1).max(meta.window - 1);
     let start: usize = args.get_or("start", default_start)?;
@@ -431,25 +479,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
     }
     let slo_ms: f64 = args.get_or("slo-ms", 0.0)?;
     let hold_ms: u64 = args.get_or("hold-ms", 0)?;
-    // Rank-validated parses (parse_for) happen below, once the fleet is
-    // loaded and the world size is known; here we only gate on policy.
-    let fault_spec = args.get("fault");
-    if fault_spec.is_some() && policy == HaloPolicy::Strict {
-        return Err(
-            "--fault with --halo-policy strict would hang on the first lost halo; \
-             pick zero-fill or last-known"
-                .into(),
-        );
-    }
     let self_heal = args.flag("self-heal");
-    let kill_spec = args.get("kill-rank-at");
-    if kill_spec.is_some() && !self_heal {
-        return Err(
-            "--kill-rank-at kills a rank mid-batch, which only ends well with \
-             --self-heal (otherwise the world poisons and the bench aborts)"
-                .into(),
-        );
-    }
     if self_heal && !matches!(policy, HaloPolicy::Degrade { .. }) {
         return Err(
             "--self-heal serves the kill-to-respawn gap with fallback halos, which needs \
@@ -480,17 +510,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
     };
 
     let (inf, initial, source) = if quick {
-        let data = pde_euler::dataset::paper_dataset(16, 8);
-        let arch = ArchSpec::tiny();
-        let outcome = ParallelTrainer::new(
-            arch.clone(),
-            PaddingStrategy::ZeroPad,
-            TrainConfig::quick_test(),
-        )
-        .train_view(&data, 6, 4)
-        .map_err(|e| e.to_string())?;
-        let inf = ParallelInference::from_outcome(arch, PaddingStrategy::ZeroPad, &outcome);
-        let initial = data.snapshot(0).clone();
+        let (inf, initial) = quick_fleet(PaddingStrategy::ZeroPad, 4)?;
         (
             inf,
             initial,
@@ -514,20 +534,8 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
     };
     let mut inf = inf.with_halo_policy(policy).with_transport(transport);
     let ranks = inf.partition().rank_count();
-    let fault_plan = match fault_spec {
-        Some(spec) => Some(FaultPlan::parse_for(spec, ranks)?),
-        None => None,
-    };
-    // `--kill-rank-at RANK:REQUEST[:STEP]` — the deterministic chaos plan:
-    // that rank's serving thread dies at that point, and the self-healing
-    // engine must respawn it and re-serve the batch.
-    let chaos_plan = match kill_spec {
-        Some(spec) => Some(pde_commsim::ChaosPlan::parse_for(
-            &format!("kill:{spec}"),
-            ranks,
-        )?),
-        None => None,
-    };
+    let fault_plan = fault_from_args(args, policy, ranks)?;
+    let chaos_plan = chaos_from_args(args, ranks)?;
     if let Some(plan) = &fault_plan {
         inf = inf.with_fault_plan(plan.clone());
     }

@@ -53,12 +53,13 @@ USAGE:
   pdeml world-node --launch [--ranks N] [--requests N] [--steps K]
                  [--halo-policy strict|zero-fill|last-known] [--halo-timeout-ms N]
                  [--fault drop:SRC-DST|loss:RATE:SEED|delay:SRC-DST:MS]
-                 [--self-heal] [--kill-rank-at RANK:REQUEST] [--restore DIR]
+                 [--self-heal] [--kill-rank-at RANK:REQUEST[:STEP]] [--restore DIR]
                  [--metrics-addr HOST:PORT] [--hold-ms N] [--out BENCH.json]
                  [--connect-timeout-ms N] [--trace-dir DIR]
   pdeml world-node --rank R --peers HOST:PORT,HOST:PORT,…
                  [--requests N] [--steps K] [--halo-policy …] [--fault …]
-                 [--self-heal] [--kill-at REQUEST] [--respawn --epoch E]
+                 [--self-heal] [--kill-rank-at RANK:REQUEST[:STEP]]
+                 [--respawn --epoch E]
   pdeml scale    [--grid N] [--epochs E] [--cores C]
   pdeml info
 

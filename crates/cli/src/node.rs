@@ -28,9 +28,10 @@
 
 use crate::args::Args;
 use crate::commands::{
-    fmt_ms, halo_policy_from_args, hold_and_stop_exporter, json_num, percentile,
+    chaos_from_args, fault_from_args, fmt_ms, halo_policy_from_args, hold_and_stop_exporter,
+    json_num, percentile, quick_fleet,
 };
-use pde_commsim::{connect_tcp_world, record_recovery, CartComm, TrafficReport};
+use pde_commsim::{connect_tcp_world, record_recovery, CartComm, ChaosPlan, TrafficReport};
 use pde_ml_core::prelude::*;
 use pde_tensor::Tensor3;
 use std::net::SocketAddr;
@@ -38,8 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Exit code of a rank killed by `--kill-at` — distinguishable from a
-/// genuine crash when the launcher reaps the corpse.
+/// Exit code of a rank killed by its `--kill-rank-at` schedule —
+/// distinguishable from a genuine crash when the launcher reaps the corpse.
 const KILL_EXIT: i32 = 86;
 
 /// Recovery epochs a world may burn through before the driver gives up
@@ -65,32 +66,6 @@ pub fn world_node(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Deterministically trains the built-in quick fleet every process of the
-/// world builds identically: paper dataset, tiny arch, neighbor-pad (so
-/// rollouts actually exchange halos), fixed seed. Same binary + same
-/// inputs ⇒ bitwise-identical weights in every process, no broadcast.
-fn quick_fleet(
-    n_ranks: usize,
-    policy: HaloPolicy,
-    fault: Option<&FaultPlan>,
-) -> Result<(Tensor3, ParallelInference), String> {
-    let data = pde_euler::dataset::paper_dataset(16, 8);
-    let arch = ArchSpec::tiny();
-    let outcome = ParallelTrainer::new(
-        arch.clone(),
-        PaddingStrategy::NeighborPad,
-        TrainConfig::quick_test(),
-    )
-    .train_view(&data, 6, n_ranks)
-    .map_err(|e| e.to_string())?;
-    let mut inf = ParallelInference::from_outcome(arch, PaddingStrategy::NeighborPad, &outcome)
-        .with_halo_policy(policy);
-    if let Some(plan) = fault {
-        inf = inf.with_fault_plan(plan.clone());
-    }
-    Ok((data.snapshot(0).clone(), inf))
-}
-
 /// Restores the fleet from a `pdeml train` checkpoint directory instead of
 /// retraining. Every process of the world — including a *respawned*
 /// replacement rank — restores from the same files, so a rejoin costs a
@@ -99,9 +74,7 @@ fn quick_fleet(
 fn restore_fleet(
     dir: &std::path::Path,
     n_ranks: usize,
-    policy: HaloPolicy,
-    fault: Option<&FaultPlan>,
-) -> Result<(Tensor3, ParallelInference), String> {
+) -> Result<(ParallelInference, Tensor3), String> {
     let (meta, inf) = crate::commands::load_fleet(dir)?;
     if meta.partition.rank_count() != n_ranks {
         return Err(format!(
@@ -129,25 +102,28 @@ fn restore_fleet(
         ));
     }
     let initial = pde_euler::dataset::paper_dataset(gh, 2).snapshot(0).clone();
-    let mut inf = inf.with_halo_policy(policy);
-    if let Some(plan) = fault {
-        inf = inf.with_fault_plan(plan.clone());
-    }
-    Ok((initial, inf))
+    Ok((inf, initial))
 }
 
 /// The fleet every process of the world serves: `--restore DIR` loads a
-/// checkpoint, otherwise the deterministic quick fleet is retrained.
+/// checkpoint, otherwise the quick fleet is retrained — neighbor-pad, so
+/// rollouts actually exchange halos. Either way every process ends up with
+/// bitwise-identical weights, no broadcast needed.
 fn fleet_from_args(
     args: &Args,
     n_ranks: usize,
     policy: HaloPolicy,
     fault: Option<&FaultPlan>,
-) -> Result<(Tensor3, ParallelInference), String> {
-    match args.get("restore") {
-        Some(dir) => restore_fleet(std::path::Path::new(dir), n_ranks, policy, fault),
-        None => quick_fleet(n_ranks, policy, fault),
+) -> Result<(ParallelInference, Tensor3), String> {
+    let (inf, initial) = match args.get("restore") {
+        Some(dir) => restore_fleet(std::path::Path::new(dir), n_ranks)?,
+        None => quick_fleet(PaddingStrategy::NeighborPad, n_ranks)?,
+    };
+    let mut inf = inf.with_halo_policy(policy);
+    if let Some(plan) = fault {
+        inf = inf.with_fault_plan(plan.clone());
     }
+    Ok((inf, initial))
 }
 
 /// What rank 0 learns about one lockstep world run.
@@ -215,23 +191,6 @@ fn parse_peers(spec: &str) -> Result<Vec<SocketAddr>, String> {
     Ok(peers)
 }
 
-/// `--fault` with the strict-policy guard shared by serve-bench.
-fn fault_from_args(args: &Args, policy: HaloPolicy) -> Result<Option<FaultPlan>, String> {
-    match args.get("fault") {
-        Some(spec) => {
-            if policy == HaloPolicy::Strict {
-                return Err(
-                    "--fault with --halo-policy strict would hang on the first lost halo; \
-                     pick zero-fill or last-known"
-                        .into(),
-                );
-            }
-            Ok(Some(FaultPlan::parse(spec)?))
-        }
-        None => Ok(None),
-    }
-}
-
 /// Per-rank serving parameters shared by worker and launch modes.
 struct ServeOpts {
     requests: usize,
@@ -242,9 +201,9 @@ struct ServeOpts {
     /// and on a dead-rank verdict rebuild the mesh under a fresh epoch and
     /// restart the batch.
     self_heal: bool,
-    /// Die (exit [`KILL_EXIT`]) at the top of this request — the chaos
-    /// injection a launcher schedules with `--kill-rank-at`.
-    kill_at: Option<usize>,
+    /// The `--kill-rank-at` schedule: a kill aimed at this rank exits the
+    /// process with [`KILL_EXIT`] before the scheduled step.
+    chaos: Option<ChaosPlan>,
     /// First epoch to rendezvous under (0 for original members; a
     /// respawned process is told the recovery epoch via `--epoch`).
     start_epoch: u32,
@@ -387,11 +346,11 @@ fn membership_round(
 /// requests of `steps` steps each. Returns the gathered [`WorldRun`] on
 /// rank 0, `None` elsewhere.
 ///
-/// The request protocol mirrors the warm engine's: an alignment barrier,
-/// a fresh monotonic generation, reset + steps, and (under a degrade
-/// policy) a quiesce barrier — with the traffic snapshot window starting
-/// *after* the alignment barrier so the per-request counters are
-/// comparable 1:1 with an in-process rollout's. With `opts.self_heal` a
+/// Each request is an alignment barrier followed by the same
+/// [`serve_request`] the warm engine and the cold rollout run, at a fresh
+/// monotonic generation; the alignment barrier stays outside the traffic
+/// window, so the per-request counters compare 1:1 with an in-process
+/// rollout's. With `opts.self_heal` a
 /// [`membership_round`] precedes every request; a healed world restarts
 /// the batch from request 0, so the evidence rank 0 gathers at the end is
 /// always from full-strength, bitwise-deterministic serves.
@@ -415,7 +374,6 @@ fn run_rank(
             part.rank_count()
         ));
     }
-    let window = inf.window();
     let history = [initial.clone()];
     inf.validate_history(&history).map_err(|e| e.to_string())?;
     let locals = inf.scatter_history(&history);
@@ -458,6 +416,7 @@ fn run_rank(
     let mut latencies_ms = Vec::with_capacity(requests);
     let mut req0_delta = TrafficReport::default();
     let mut req0_traj: Vec<Tensor3> = Vec::new();
+    let mut trajectory = Vec::new();
     // A heal restarts the WHOLE batch: the degraded serves between the kill
     // and the detection are discarded, so every request in the evidence —
     // including the request-0 trajectory gathered below — was served by a
@@ -466,30 +425,27 @@ fn run_rank(
         latencies_ms.clear();
         let mut req = 0;
         while req < requests {
-            if opts.kill_at == Some(req) {
-                // Chaos: die at the top of this request, as abruptly as a
-                // crashed process — the OS closing the sockets is the only
-                // goodbye the survivors get.
-                std::process::exit(KILL_EXIT);
-            }
             if opts.self_heal
                 && membership_round(rank, &mut cart, &mut epoch, &part, opts, fault, &mut heal)?
             {
                 continue 'batch;
             }
             cart.comm_mut().barrier(); // alignment — outside the traffic window
-            let before = cart.comm().stats().report();
-            cart.comm_mut()
-                .set_generation(epoch_base(epoch) | (req as u32 + 1));
-            st.reset(&locals[rank]);
             let t0 = Instant::now();
-            let mut produced = vec![st.latest().clone()];
-            for step in 0..steps {
-                produced.push(st.step(&mut cart, (step * window) as u32).clone());
-            }
-            if degrade {
-                cart.comm_mut().barrier(); // quiesce, same as the in-process rollout
-            }
+            let served = serve_request(
+                &mut cart,
+                &mut st,
+                epoch_base(epoch) | (req as u32 + 1),
+                &locals[rank],
+                steps,
+                &mut trajectory,
+                opts.chaos.as_ref().map(|plan| (plan, req)),
+            );
+            let Ok((_, moved)) = served else {
+                // Chaos: die as abruptly as a crashed process — the OS
+                // closing the sockets is the only goodbye the survivors get.
+                std::process::exit(KILL_EXIT);
+            };
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             latencies_ms.push(ms);
             if let Some((reqs, lat)) = live_requests {
@@ -497,8 +453,8 @@ fn run_rank(
                 lat.record((ms * 1e3) as u64);
             }
             if req == 0 {
-                req0_delta = cart.comm().stats().report().since(&before);
-                req0_traj = produced;
+                req0_delta = moved;
+                req0_traj = trajectory.clone();
             }
             req += 1;
         }
@@ -597,8 +553,8 @@ fn verify_against_channel(
 /// One member process of a world (`--rank R --peers …`).
 ///
 /// Self-healing extras: `--self-heal` turns on the per-request membership
-/// protocol, `--kill-at REQ` makes this rank die at the top of request REQ
-/// (chaos injection, scheduled by the launcher), and `--respawn --epoch E`
+/// protocol, `--kill-rank-at RANK:REQUEST[:STEP]` is the launcher's chaos
+/// schedule (this process dies only if it is RANK), and `--respawn --epoch E`
 /// marks a replacement process that rendezvouses under recovery epoch `E`
 /// instead of 0.
 fn worker(args: &Args) -> Result<(), String> {
@@ -610,31 +566,24 @@ fn worker(args: &Args) -> Result<(), String> {
     let requests: usize = args.get_or("requests", 8)?;
     let steps: usize = args.get_or("steps", 2)?;
     let policy = halo_policy_from_args(args)?;
-    let fault_plan = fault_from_args(args, policy)?;
+    let fault_plan = fault_from_args(args, policy, peers.len())?;
     let connect_ms: u64 = args.get_or("connect-timeout-ms", 30_000)?;
     let respawn = args.flag("respawn");
     let start_epoch: u32 = args.get_or("epoch", 0)?;
     if respawn && start_epoch == 0 {
         return Err("--respawn needs the recovery --epoch the world healed into".into());
     }
-    let kill_at = match args.get("kill-at") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| "--kill-at: not a request index".to_string())?,
-        ),
-        None => None,
-    };
     let opts = ServeOpts {
         requests,
         steps,
         connect_timeout: Duration::from_millis(connect_ms),
         record_live: false,
         self_heal: args.flag("self-heal"),
-        kill_at,
+        chaos: chaos_from_args(args, peers.len())?,
         start_epoch,
     };
 
-    let (initial, inf) = fleet_from_args(args, peers.len(), policy, fault_plan.as_ref())?;
+    let (inf, initial) = fleet_from_args(args, peers.len(), policy, fault_plan.as_ref())?;
     // The session starts *after* fleet setup so the shard holds only the
     // serving loop (training would record under the training world's rank
     // labels, which are meaningless in the merged timeline).
@@ -689,49 +638,29 @@ fn launch(args: &Args) -> Result<(), String> {
     let requests: usize = args.get_or("requests", 8)?;
     let steps: usize = args.get_or("steps", 2)?;
     let policy = halo_policy_from_args(args)?;
-    let fault_plan = fault_from_args(args, policy)?;
+    let fault_plan = fault_from_args(args, policy, n)?;
     let connect_ms: u64 = args.get_or("connect-timeout-ms", 30_000)?;
     let hold_ms: u64 = args.get_or("hold-ms", 0)?;
     let self_heal = args.flag("self-heal");
-
-    // `--kill-rank-at RANK:REQ` — chaos: child RANK exits abruptly at the
-    // top of request REQ; the membership protocol must detect, respawn and
-    // re-serve. Rank 0 is the in-process driver, so only 1..n are fair game.
-    let kill_rank_at: Option<(usize, usize)> = match args.get("kill-rank-at") {
-        Some(spec) => {
-            let (r, q) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("--kill-rank-at '{spec}' is not RANK:REQUEST"))?;
-            let rank: usize = r
-                .trim()
-                .parse()
-                .map_err(|_| format!("--kill-rank-at rank '{r}' is not a rank index"))?;
-            let req: usize = q
-                .trim()
-                .parse()
-                .map_err(|_| format!("--kill-rank-at request '{q}' is not a request index"))?;
-            if !self_heal {
-                return Err(
-                    "--kill-rank-at kills a rank mid-batch, which only ends well with \
-                     --self-heal (otherwise the survivors hang or abort)"
-                        .into(),
-                );
-            }
-            if rank == 0 || rank >= n {
+    // Chaos: the named child exits abruptly before the scheduled step; the
+    // membership protocol must detect, respawn and re-serve.
+    if let Some(plan) = chaos_from_args(args, n)? {
+        for kill in plan.kills() {
+            if kill.rank == 0 {
                 return Err(format!(
-                    "--kill-rank-at rank {rank} must be a child rank (1..={})",
+                    "--kill-rank-at rank 0 is the in-process driver; pick a child rank \
+                     (1..={})",
                     n - 1
                 ));
             }
-            if req >= requests {
+            if kill.request >= requests {
                 return Err(format!(
-                    "--kill-rank-at request {req} never happens (only {requests} requests)"
+                    "--kill-rank-at request {} never happens (only {requests} requests)",
+                    kill.request
                 ));
             }
-            Some((rank, req))
         }
-        None => None,
-    };
+    }
 
     // The smoke-scrape contract: both series exist (at zero) from the
     // moment the exporter is up, even before the first request lands.
@@ -788,11 +717,11 @@ fn launch(args: &Args) -> Result<(), String> {
         std::env::current_exe().map_err(|e| format!("cannot locate the pdeml binary: {e}"))?;
     // One spawner for initial members AND respawned replacements — the only
     // differences are the peer list, the `--respawn --epoch E` marker, and
-    // that a replacement never inherits a `--kill-at` (it must live).
+    // that a replacement never inherits the `--kill-rank-at` schedule (it
+    // must live).
     let spawn_rank = |rank: usize,
                       peer_addrs: &[SocketAddr],
-                      epoch: Option<u32>,
-                      kill: Option<usize>|
+                      epoch: Option<u32>|
      -> Result<std::process::Child, String> {
         let peers: String = peer_addrs
             .iter()
@@ -830,9 +759,8 @@ fn launch(args: &Args) -> Result<(), String> {
         }
         if let Some(e) = epoch {
             cmd.arg("--respawn").arg("--epoch").arg(e.to_string());
-        }
-        if let Some(req) = kill {
-            cmd.arg("--kill-at").arg(req.to_string());
+        } else if let Some(spec) = args.get("kill-rank-at") {
+            cmd.arg("--kill-rank-at").arg(spec);
         }
         cmd.spawn()
             .map_err(|e| format!("cannot spawn rank {rank}: {e}"))
@@ -843,17 +771,16 @@ fn launch(args: &Args) -> Result<(), String> {
     let children: std::cell::RefCell<Vec<(usize, std::process::Child)>> =
         std::cell::RefCell::new(Vec::with_capacity(n - 1));
     for rank in 1..n {
-        let kill = kill_rank_at.and_then(|(r, req)| (r == rank).then_some(req));
         children
             .borrow_mut()
-            .push((rank, spawn_rank(rank, &addrs, None, kill)?));
+            .push((rank, spawn_rank(rank, &addrs, None)?));
     }
     println!(
         "world-node: ranks 1..{n} launched as OS processes, rank 0 in-process; \
          {requests} requests x {steps} steps over localhost TCP"
     );
 
-    let (initial, inf) = fleet_from_args(args, n, policy, fault_plan.as_ref())?;
+    let (inf, initial) = fleet_from_args(args, n, policy, fault_plan.as_ref())?;
     if self_heal {
         if let Some(dir) = args.get("restore") {
             println!("self-heal: respawned ranks restore weights from {dir} (no retrain)");
@@ -877,7 +804,7 @@ fn launch(args: &Args) -> Result<(), String> {
                 Ok(status) => println!("self-heal: rank {d} died with {status}, respawning"),
                 Err(e) => println!("self-heal: rank {d} corpse unreapable ({e}), respawning"),
             }
-            slot.1 = spawn_rank(d, fresh, Some(epoch), None)?;
+            slot.1 = spawn_rank(d, fresh, Some(epoch))?;
         }
         Ok(())
     };
@@ -891,7 +818,7 @@ fn launch(args: &Args) -> Result<(), String> {
         connect_timeout: Duration::from_millis(connect_ms),
         record_live: true,
         self_heal,
-        kill_at: None,
+        chaos: None,
         start_epoch: 0,
     };
     // Rank 0's shard session — started here (post-training) so it covers

@@ -22,8 +22,9 @@
 //! included), or a typed failure: `400` malformed request, `404` unknown
 //! model, `429` shed by admission (queue full / SLO breach), `503`
 //! unhealthy. `GET /v1/example` returns a ready-to-POST request body for
-//! the registered model; `/metrics`, `/healthz`, `/readyz` behave exactly
-//! like the exporter's; `POST /shutdown` stops the server (for CI).
+//! the registered model; `/metrics`, `/healthz`, `/readyz` are answered by
+//! the exporter's own [`pde_telemetry::exporter::route`]; `POST /shutdown`
+//! stops the server (for CI).
 //!
 //! Every `/v1/rollout` response — success or rejection — carries the
 //! request id allocated at ingress (`X-PDEML-Request-Id`) and a
@@ -36,7 +37,6 @@
 
 use crate::args::Args;
 use pde_commsim::{TransportKind, World};
-use pde_ml_core::arch::ArchSpec;
 use pde_ml_core::prelude::*;
 use pde_tensor::Tensor3;
 use std::io::{Read, Write};
@@ -148,17 +148,7 @@ fn server_timing(phases: &RequestPhases) -> String {
 fn build_model(args: &Args) -> Result<(ParallelInference, Tensor3, String), String> {
     if args.flag("quick") {
         let ranks: usize = args.get_or("ranks-per-world", 2)?;
-        let data = pde_euler::dataset::paper_dataset(16, 8);
-        let arch = ArchSpec::tiny();
-        let outcome = ParallelTrainer::new(
-            arch.clone(),
-            PaddingStrategy::ZeroPad,
-            TrainConfig::quick_test(),
-        )
-        .train_view(&data, 6, ranks)
-        .map_err(|e| e.to_string())?;
-        let inf = ParallelInference::from_outcome(arch, PaddingStrategy::ZeroPad, &outcome);
-        let initial = data.snapshot(0).clone();
+        let (inf, initial) = crate::commands::quick_fleet(PaddingStrategy::ZeroPad, ranks)?;
         Ok((inf, initial, "built-in 16x16 paper pulse (--quick)".into()))
     } else {
         let model_dir = PathBuf::from(args.require("model")?);
@@ -416,20 +406,24 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+const TEXT: &str = "text/plain; charset=utf-8";
+
 fn respond(stream: &mut TcpStream, status: &str, body: &str) -> std::io::Result<()> {
-    respond_with(stream, status, "", body)
+    respond_with(stream, status, TEXT, "", body)
 }
 
-/// Like [`respond`] with extra header lines (each `\r\n`-terminated) —
-/// the rollout route uses this for `X-PDEML-Request-Id`/`Server-Timing`.
+/// Like [`respond`] with an explicit content type and extra header lines
+/// (each `\r\n`-terminated) — the rollout route uses these for
+/// `X-PDEML-Request-Id`/`Server-Timing`.
 fn respond_with(
     stream: &mut TcpStream,
     status: &str,
+    content_type: &str,
     extra_headers: &str,
     body: &str,
 ) -> std::io::Result<()> {
     let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; charset=utf-8\r\n\
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n{body}",
         body.len()
     );
@@ -456,26 +450,12 @@ fn handle_conn(
     let mut first = head.lines().next().unwrap_or("").split_whitespace();
     let method = first.next().unwrap_or("");
     let path = first.next().unwrap_or("/");
+    if method == "GET" {
+        if let Some((status, content_type, body)) = pde_telemetry::exporter::route(path, health) {
+            return respond_with(&mut stream, status, content_type, "", &body);
+        }
+    }
     match (method, path) {
-        ("GET", "/metrics") => respond(&mut stream, "200 OK", &pde_telemetry::render_prometheus()),
-        ("GET", "/healthz") => {
-            let report = health.report();
-            let status = if report.overall != pde_telemetry::health::Health::Unhealthy {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            respond(&mut stream, status, &report.describe())
-        }
-        ("GET", "/readyz") => {
-            let report = health.report();
-            let status = if report.overall == pde_telemetry::health::Health::Healthy {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            respond(&mut stream, status, &report.describe())
-        }
         ("GET", "/v1/example") => {
             let mut body = String::from("model serve\nsteps 2\n");
             for _ in 0..window {
@@ -523,7 +503,7 @@ fn handle_conn(
                 "X-PDEML-Request-Id: {id}\r\nServer-Timing: {}\r\n",
                 server_timing(&phases)
             );
-            respond_with(&mut stream, status, &headers, &body_out)
+            respond_with(&mut stream, status, TEXT, &headers, &body_out)
         }
         ("POST", "/shutdown") => {
             stop.store(true, Ordering::Release);

@@ -98,3 +98,70 @@ fn worker_mode_rejects_bad_rank_and_peer_specs() {
         .expect("spawn pdeml");
     assert!(!out.status.success(), "a 1-peer world is not a world");
 }
+
+#[test]
+fn worker_fault_plan_is_rank_checked() {
+    // A fault plan naming a rank the world lacks would silently never
+    // fire; the worker refuses it before training or dialing any peer.
+    let out = pdeml()
+        .args([
+            "world-node",
+            "--rank",
+            "0",
+            "--peers",
+            "127.0.0.1:1,127.0.0.1:2",
+            "--fault",
+            "drop:0-9",
+            "--halo-policy",
+            "zero-fill",
+        ])
+        .output()
+        .expect("spawn pdeml");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("rank 9 does not exist in a 2-rank world"),
+        "missing rank hint\nstderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn launch_heals_a_mid_request_kill_and_still_verifies_bitwise() {
+    // Rank 1 dies before step 1 of request 1; rank 0 serves the gap with
+    // last-known halos, detects the death, respawns the process and
+    // restarts the batch, whose evidence must still match the channel
+    // transport bit for bit.
+    let out = pdeml()
+        .args([
+            "world-node",
+            "--launch",
+            "--ranks",
+            "2",
+            "--requests",
+            "3",
+            "--steps",
+            "2",
+            "--self-heal",
+            "--halo-policy",
+            "last-known",
+            "--kill-rank-at",
+            "1:1:1",
+        ])
+        .output()
+        .expect("spawn pdeml");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "healing world-node --launch failed\nstdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(
+        stdout.contains("died on schedule (chaos kill)"),
+        "the scheduled kill never fired\nstdout:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("bitwise-equal to the channel transport"),
+        "missing verification line\nstdout:\n{stdout}"
+    );
+}

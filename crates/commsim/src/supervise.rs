@@ -135,9 +135,9 @@ impl ChaosPlan {
         })
     }
 
-    /// The scheduled kills (fired or not), for drivers that need to know
-    /// which ranks are fated — e.g. the CLI launcher deciding which child
-    /// process gets a `--kill-at` flag.
+    /// The scheduled kills (fired or not), for drivers that vet a plan
+    /// before running it — e.g. the multi-process launcher refusing a kill
+    /// aimed at its in-process rank 0 or at a request it never serves.
     pub fn kills(&self) -> Vec<KillSpec> {
         self.events.iter().map(|ev| ev.spec).collect()
     }

@@ -26,14 +26,14 @@
 //! suite enforces under both halo policies.
 
 use crate::arch::ArchSpec;
-use crate::infer::{HaloPolicy, InferError, ParallelInference, RolloutResult};
+use crate::infer::{serve_request, HaloPolicy, InferError, ParallelInference, RolloutResult};
 use crate::padding::PaddingStrategy;
 use crate::train::TrainOutcome;
 use pde_commsim::{
     CartComm, ChaosPlan, FaultPlan, PersistentWorld, RankContext, Supervisor, TrafficReport,
     TransportKind, World,
 };
-use pde_tensor::{perf, PerfCounters, Tensor3};
+use pde_tensor::{PerfCounters, Tensor3};
 use std::collections::BTreeMap;
 
 /// How to build an [`InferEngine`]: rank count plus an optional fault plan
@@ -552,9 +552,6 @@ impl InferEngine {
         // [request][rank][slot] normalized local windows.
         let scattered: Vec<Vec<Vec<Tensor3>>> =
             histories.iter().map(|h| inf.scatter_history(h)).collect();
-        let window = inf.window();
-        let quiesce =
-            matches!(inf.halo_policy(), HaloPolicy::Degrade { .. }) && inf.input_halo() > 0;
         let chaos = self.chaos.clone();
         let request_base = self.request_base;
         // With self-healing on, a rank death mid-batch triggers supervisor
@@ -583,44 +580,21 @@ impl InferEngine {
                     // steps, halo assembly, comm waits, kernels — carries
                     // its serving id (0 = untraced, the tag stays unset).
                     pde_trace::set_request(req_ids.get(i).copied().unwrap_or(0));
-                    cart.comm_mut().set_generation(base + i as u32);
-                    st.reset(&request[rank]);
-                    let (c, h, w) = st.latest().shape();
-                    if trajectory.len() != n_steps + 1
-                        || trajectory.first().map(Tensor3::shape) != Some((c, h, w))
-                    {
-                        *trajectory = (0..=n_steps).map(|_| Tensor3::zeros(c, h, w)).collect();
-                    }
-                    let traffic0 = cart.comm().stats().report();
-                    let perf0 = perf::snapshot();
-                    trajectory[0]
-                        .as_mut_slice()
-                        .copy_from_slice(st.latest().as_slice());
-                    for step in 0..n_steps {
-                        if let Some(plan) = &chaos {
-                            if plan.should_kill(rank, request_base + i, step) {
-                                panic!(
-                                    "chaos: killed rank {rank} at request {} step {step}",
-                                    request_base + i
-                                );
-                            }
-                        }
-                        let next = st.step(cart, (step * window) as u32);
-                        trajectory[step + 1]
-                            .as_mut_slice()
-                            .copy_from_slice(next.as_slice());
-                    }
-                    // Same quiesce rule as the cold path: under Degrade a
-                    // rank can finish steps ahead of a timed-out neighbor,
-                    // and here it would otherwise race ahead into the *next*
-                    // request. The barrier (fault-exempt, dead-tolerant)
-                    // holds it back. Not needed under Strict, where every
-                    // receive blocks until matched.
-                    if quiesce {
-                        cart.comm_mut().barrier();
-                    }
-                    let spent = perf::snapshot().since(&perf0);
-                    let moved = cart.comm().stats().report().since(&traffic0);
+                    let (spent, moved) = serve_request(
+                        cart,
+                        st,
+                        base + i as u32,
+                        &request[rank],
+                        n_steps,
+                        trajectory,
+                        chaos.as_ref().map(|plan| (plan, request_base + i)),
+                    )
+                    .unwrap_or_else(|k| {
+                        panic!(
+                            "chaos: killed rank {} at request {} step {}",
+                            k.rank, k.request, k.step
+                        )
+                    });
                     per_request.push((trajectory.clone(), spent, moved));
                 }
                 pde_trace::set_request(0);

@@ -18,7 +18,8 @@ use crate::norm::ChannelNorm;
 use crate::padding::PaddingStrategy;
 use crate::train::{PredictionMode, TrainOutcome};
 use pde_commsim::{
-    CartComm, Comm, Direction, FaultPlan, HaloRecv, TrafficReport, TransportKind, World,
+    CartComm, ChaosPlan, Comm, Direction, FaultPlan, HaloRecv, KillSpec, TrafficReport,
+    TransportKind, World,
 };
 use pde_domain::halo::{pack_cols, pack_rows, place_rows};
 use pde_domain::{gather, scatter, GridPartition};
@@ -501,38 +502,31 @@ impl ParallelInference {
         let initial = history.last().expect("window >= 1");
         let part = self.part;
         let per_rank_history = self.scatter_history(history);
-        let halo = self.strategy.input_halo(self.arch.halo());
-        let window = self.window;
-        let policy = self.halo_policy;
 
         let mut world = World::new(part.rank_count()).with_transport(self.transport);
         if let Some(plan) = &self.fault_plan {
             world = world.with_fault_plan(plan.clone());
         }
-        let (outs, traffic) = world.run_with_stats(|comm| {
+        let outs = world.run(|comm| {
             let rank = comm.rank();
+            let generation = comm.generation();
             let mut cart = CartComm::new(comm, part.py(), part.px(), false);
             let mut st = self.rank_state(rank);
-            st.reset(&per_rank_history[rank]);
-            let perf0 = perf::snapshot();
-            let mut produced = Vec::with_capacity(n_steps + 1);
-            produced.push(st.latest().clone());
-            for step in 0..n_steps {
-                let next = st.step(&mut cart, (step * window) as u32);
-                produced.push(next.clone());
-            }
-            // Quiesce under Degrade: a healthy rank can run several steps
-            // ahead of a neighbor that is waiting out timeouts; exiting
-            // (dropping the Comm) would make that neighbor's remaining
-            // receives read as peer death. The barrier (fault-exempt, like
-            // every collective) keeps each rank alive until all are done.
-            if matches!(policy, HaloPolicy::Degrade { .. }) && halo > 0 {
-                cart.comm_mut().barrier();
-            }
-            (produced, perf::snapshot().since(&perf0))
+            let mut produced = Vec::new();
+            let cost = serve_request(
+                &mut cart,
+                &mut st,
+                generation,
+                &per_rank_history[rank],
+                n_steps,
+                &mut produced,
+                None,
+            )
+            .expect("no chaos plan, no kill");
+            (produced, cost)
         });
-        let (histories, rank_perf): (Vec<Vec<Tensor3>>, Vec<PerfCounters>) =
-            outs.into_iter().unzip();
+        let (histories, costs): (Vec<Vec<Tensor3>>, Vec<_>) = outs.into_iter().unzip();
+        let (rank_perf, traffic) = costs.into_iter().unzip();
 
         Ok(RolloutResult {
             states: self.stitch_states(initial, &histories, n_steps),
@@ -804,6 +798,71 @@ impl RankRolloutState {
         }
         self.latest()
     }
+}
+
+/// Serves one rollout request on one rank: the per-rank body of the cold
+/// [`ParallelInference::rollout_from_history`], the warm
+/// [`crate::engine::InferEngine`] and the multi-process `world-node`.
+///
+/// Switches `cart` to `generation`, resets `st` to this rank's normalized
+/// `history` and records `[initial, pred_1, …, pred_n]` into `trajectory`.
+/// The caller owns that buffer; it is regrown only when the local shape or
+/// the step count changes, so a warm caller's request stays off the heap.
+///
+/// Under [`HaloPolicy::Degrade`] with halo exchange the rank then quiesces
+/// on a barrier: a healthy rank can run steps ahead of a neighbor waiting
+/// out timeouts, and leaving early would make that neighbor's remaining
+/// receives read as peer death (cold) or race into the next request
+/// (warm). The barrier is fault-exempt and dead-tolerant. Strict receives
+/// block until matched, so Strict needs none.
+///
+/// Returns the rank's compute counters and traffic over reset, steps and
+/// quiesce. `chaos` pairs a kill schedule with this request's index and is
+/// checked before every step; when a kill fires the request stops there
+/// and its [`KillSpec`] is returned. How the rank then dies is the
+/// caller's choice.
+pub fn serve_request(
+    cart: &mut CartComm,
+    st: &mut RankRolloutState,
+    generation: u32,
+    history: &[Tensor3],
+    n_steps: usize,
+    trajectory: &mut Vec<Tensor3>,
+    chaos: Option<(&ChaosPlan, usize)>,
+) -> Result<(PerfCounters, TrafficReport), KillSpec> {
+    cart.comm_mut().set_generation(generation);
+    st.reset(history);
+    let shape = st.latest().shape();
+    if trajectory.len() != n_steps + 1 || trajectory.first().map(Tensor3::shape) != Some(shape) {
+        let (c, h, w) = shape;
+        *trajectory = (0..=n_steps).map(|_| Tensor3::zeros(c, h, w)).collect();
+    }
+    let rank = cart.comm().rank();
+    let traffic0 = cart.comm().stats().report();
+    let perf0 = perf::snapshot();
+    trajectory[0]
+        .as_mut_slice()
+        .copy_from_slice(st.latest().as_slice());
+    for step in 0..n_steps {
+        if let Some((plan, request)) = chaos {
+            if plan.should_kill(rank, request, step) {
+                return Err(KillSpec {
+                    rank,
+                    request,
+                    step,
+                });
+            }
+        }
+        let next = st.step(cart, (step * st.window) as u32);
+        trajectory[step + 1]
+            .as_mut_slice()
+            .copy_from_slice(next.as_slice());
+    }
+    if matches!(st.policy, HaloPolicy::Degrade { .. }) && st.halo > 0 {
+        cart.comm_mut().barrier();
+    }
+    let spent = perf::snapshot().since(&perf0);
+    Ok((spent, cart.comm().stats().report().since(&traffic0)))
 }
 
 /// Assembles the `(c, h+2halo, w+2halo)` padded input of one rank by the

@@ -63,8 +63,8 @@ pub mod prelude {
     pub use crate::engine::{EngineConfig, EngineError, EnginePhases, InferEngine};
     pub use crate::flight::{FlightDump, FlightRecorder};
     pub use crate::infer::{
-        HaloFallback, HaloPolicy, InferError, ParallelInference, RankRolloutState, RejectReason,
-        RolloutResult,
+        serve_request, HaloFallback, HaloPolicy, InferError, ParallelInference, RankRolloutState,
+        RejectReason, RolloutResult,
     };
     pub use crate::metrics::FieldErrors;
     pub use crate::norm::ChannelNorm;

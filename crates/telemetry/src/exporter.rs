@@ -132,6 +132,35 @@ fn read_request_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     Ok(head)
 }
 
+/// Content type of the health routes' plain-text reports.
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// Answers the observability routes as `(status, content type, body)`:
+/// `/metrics` in the Prometheus text format, `/healthz` (503 only when
+/// unhealthy) and `/readyz` (200 only when healthy); `None` for any other
+/// path. Servers that embed these routes call this, so they answer them
+/// exactly as the exporter does.
+pub fn route(path: &str, health: &HealthModel) -> Option<(&'static str, &'static str, String)> {
+    use crate::health::Health::{Healthy, Unhealthy};
+    let readiness = match path {
+        "/metrics" => {
+            let prometheus = "text/plain; version=0.0.4; charset=utf-8";
+            return Some(("200 OK", prometheus, render_prometheus()));
+        }
+        "/healthz" => false,
+        "/readyz" => true,
+        _ => return None,
+    };
+    let report = health.report();
+    let pass = report.overall == Healthy || (!readiness && report.overall != Unhealthy);
+    let status = if pass {
+        "200 OK"
+    } else {
+        "503 Service Unavailable"
+    };
+    Some((status, TEXT, report.describe()))
+}
+
 fn handle_conn(mut stream: TcpStream, health: &HealthModel) -> std::io::Result<()> {
     let head = read_request_head(&mut stream)?;
     let request = String::from_utf8_lossy(&head);
@@ -141,36 +170,11 @@ fn handle_conn(mut stream: TcpStream, health: &HealthModel) -> std::io::Result<(
         .and_then(|line| line.split_whitespace().nth(1))
         .unwrap_or("/");
 
-    let (status, content_type, body) = match path {
-        "/metrics" => (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            render_prometheus(),
-        ),
-        "/healthz" => {
-            let report = health.report();
-            let status = if report.overall == crate::health::Health::Unhealthy {
-                "503 Service Unavailable"
-            } else {
-                "200 OK"
-            };
-            (status, "text/plain; charset=utf-8", report.describe())
-        }
-        "/readyz" => {
-            let report = health.report();
-            let status = if report.overall == crate::health::Health::Healthy {
-                "200 OK"
-            } else {
-                "503 Service Unavailable"
-            };
-            (status, "text/plain; charset=utf-8", report.describe())
-        }
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found; try /metrics /healthz /readyz\n".to_string(),
-        ),
-    };
+    let (status, content_type, body) = route(path, health).unwrap_or((
+        "404 Not Found",
+        TEXT,
+        "not found; try /metrics /healthz /readyz\n".to_string(),
+    ));
 
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -207,6 +211,10 @@ mod tests {
 
         let (status, body) = get(addr, "/metrics");
         assert!(status.contains("200"), "{status}");
+        assert!(
+            body.contains("\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n"),
+            "/metrics must declare the Prometheus text format version: {body}"
+        );
         assert!(body.contains("# TYPE pdeml_test_exporter_total counter"));
         assert!(body.contains("pdeml_test_exporter_total 1"));
 

@@ -29,7 +29,7 @@ pub use metrics::RankMetrics;
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -135,8 +135,6 @@ pub struct TraceEvent {
 
 /// Session ids start at 1; 0 means "no session" everywhere.
 static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
-/// Ring capacity for rings created after the most recent [`begin`].
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 /// Process-lifetime total of ring-overflow drops across all sessions — the
 /// live counterpart of the per-session `dropped_by_rank` accounting, so a
 /// metrics scrape can watch drops accumulate while a trace is still armed.
@@ -151,6 +149,8 @@ pub fn dropped_spans_total() -> u64 {
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 struct SessionSink {
+    /// Per-thread ring capacity a thread gets when it binds to the session.
+    ring_capacity: usize,
     events: Vec<TraceEvent>,
     dropped_by_rank: HashMap<u32, u64>,
 }
@@ -251,10 +251,18 @@ fn record(mut ev: TraceEvent) {
     ev.req = REQ.with(|r| r.get());
     RING.with(|r| {
         let mut r = r.borrow_mut();
-        let ring = r.get_or_insert_with(|| Ring::new(RING_CAPACITY.load(Ordering::Relaxed)));
+        // Sized when it binds to a session, just below.
+        let ring = r.get_or_insert_with(|| Ring::new(0));
         if ring.session != session {
-            // First event after a session switch: deliver leftovers, rebind.
+            // First event after a session switch: deliver leftovers, then
+            // rebind and resize to the new session's capacity.
             flush_ring(ring);
+            let cap = collector()
+                .lock()
+                .expect("trace collector lock poisoned")
+                .get(&session)
+                .map_or(DEFAULT_RING_CAPACITY, |s| s.ring_capacity);
+            *ring = Ring::new(cap);
             ring.session = session;
         }
         ring.push(ev);
@@ -284,11 +292,11 @@ pub fn begin() -> TraceHandle {
 /// collected until [`TraceHandle::finish`].
 pub fn begin_with_capacity(ring_capacity: usize) -> TraceHandle {
     EPOCH.get_or_init(Instant::now);
-    RING_CAPACITY.store(ring_capacity.max(1), Ordering::Relaxed);
     let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
     collector().lock().unwrap().insert(
         session,
         SessionSink {
+            ring_capacity,
             events: Vec::new(),
             dropped_by_rank: HashMap::new(),
         },
@@ -643,6 +651,35 @@ mod tests {
             .map(|e| e.a0)
             .collect();
         assert_eq!(kept, vec![6, 7, 8, 9], "oldest events are evicted first");
+    }
+
+    #[test]
+    fn reused_thread_takes_each_sessions_ring_capacity() {
+        // One thread records into a default-capacity session, then into a
+        // capacity-4 session begun afterwards: the second session's
+        // capacity must govern, not the one the thread's ring was built for.
+        let big = begin();
+        let big_id = big.session();
+        let (to_main, from_worker) = std::sync::mpsc::channel();
+        let (to_worker, from_main) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            adopt(big_id, 0);
+            instant(Category::Kernel, names::GEMM, 0, 0);
+            to_main.send(()).unwrap();
+            adopt(from_main.recv().unwrap(), 0);
+            for i in 0..10u64 {
+                instant(Category::Kernel, names::GEMM, i, 0);
+            }
+            leave();
+        });
+        from_worker.recv().unwrap();
+        let small = begin_with_capacity(4);
+        to_worker.send(small.session()).unwrap();
+        worker.join().unwrap();
+        let trace = small.finish();
+        assert_eq!(trace.total_dropped(), 6);
+        assert_eq!(trace.events.len(), 4);
+        assert_eq!(big.finish().events.len(), 1);
     }
 
     #[test]
