@@ -110,20 +110,7 @@ pub fn train(args: &Args) -> Result<(), String> {
     cfg.window = window;
     cfg.seed = args.get_or("seed", 0x5EED_u64)?;
     cfg.lr = args.get_or("lr", cfg.lr)?;
-    if let Some(t) = args.get("threads-per-rank") {
-        let t: usize = t
-            .parse()
-            .map_err(|_| format!("--threads-per-rank: not a number: {t}"))?;
-        let cores = pde_tensor::pool::available_cores();
-        if t == 0 || t > cores {
-            return Err(format!(
-                "--threads-per-rank {t} is invalid: pick 1..={cores} \
-                 (this machine has {cores} core(s); omit the flag to \
-                 auto-size as cores / ranks)"
-            ));
-        }
-        cfg.threads_per_rank = Some(t);
-    }
+    cfg.threads_per_rank = threads_per_rank_from_args(args)?;
     let train_pairs: usize = args.get_or("train-pairs", data.pair_count() * 2 / 3)?;
     let (c, h, w) = data.shape();
     println!(
@@ -428,18 +415,50 @@ pub(crate) fn json_num(v: Option<f64>) -> String {
     }
 }
 
+/// `--threads-per-rank T`: the kernel-thread budget per rank, `None` to
+/// auto-size. Out-of-range values are rejected, never clamped.
+fn threads_per_rank_from_args(args: &Args) -> Result<Option<usize>, String> {
+    let Some(t) = args.get("threads-per-rank") else {
+        return Ok(None);
+    };
+    let t: usize = t
+        .parse()
+        .map_err(|_| format!("--threads-per-rank: not a number: {t}"))?;
+    let cores = pde_tensor::pool::available_cores();
+    if t == 0 || t > cores {
+        return Err(format!(
+            "--threads-per-rank {t} is invalid: pick 1..={cores} \
+             (this machine has {cores} core(s); omit the flag to \
+             auto-size as cores / ranks)"
+        ));
+    }
+    Ok(Some(t))
+}
+
+/// `--metrics-addr ADDR`: brings up the telemetry exporter over `health`
+/// and prints where it listens.
+pub(crate) fn exporter_from_args(
+    args: &Args,
+    health: &std::sync::Arc<pde_telemetry::health::HealthModel>,
+) -> Result<Option<pde_telemetry::http::Server>, String> {
+    let Some(addr) = args.get("metrics-addr") else {
+        return Ok(None);
+    };
+    let e = pde_telemetry::exporter::serve(addr, health.clone())
+        .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
+    println!(
+        "metrics: http://{}/metrics (also /healthz, /readyz)",
+        e.local_addr()
+    );
+    Ok(Some(e))
+}
+
 /// Sleeps out `--hold-ms` (so a scraper can catch the endpoint after the
-/// run) and then stops the exporter thread.
-pub(crate) fn hold_and_stop_exporter(
-    exporter: &mut Option<pde_telemetry::exporter::Exporter>,
-    hold_ms: u64,
-) {
+/// run), then drops the exporter, which stops it.
+pub(crate) fn hold_and_stop_exporter(exporter: Option<pde_telemetry::http::Server>, hold_ms: u64) {
     if hold_ms > 0 && exporter.is_some() {
         println!("holding metrics endpoint for {hold_ms} ms…");
         std::thread::sleep(std::time::Duration::from_millis(hold_ms));
-    }
-    if let Some(e) = exporter.as_mut() {
-        e.shutdown();
     }
 }
 
@@ -496,18 +515,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         "Trace spans dropped to per-thread ring overflow",
         pde_trace::dropped_spans_total,
     );
-    let mut exporter = match args.get("metrics-addr") {
-        Some(addr) => {
-            let e = pde_telemetry::exporter::serve(addr, health.clone())
-                .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
-            println!(
-                "metrics: http://{}/metrics (also /healthz, /readyz)",
-                e.local_addr()
-            );
-            Some(e)
-        }
-        None => None,
-    };
+    let exporter = exporter_from_args(args, &health)?;
 
     let (inf, initial, source) = if quick {
         let (inf, initial) = quick_fleet(PaddingStrategy::ZeroPad, 4)?;
@@ -539,23 +547,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
     if let Some(plan) = &fault_plan {
         inf = inf.with_fault_plan(plan.clone());
     }
-    let threads_per_rank = match args.get("threads-per-rank") {
-        Some(t) => {
-            let t: usize = t
-                .parse()
-                .map_err(|_| format!("--threads-per-rank: not a number: {t}"))?;
-            let cores = pde_tensor::pool::available_cores();
-            if t == 0 || t > cores {
-                return Err(format!(
-                    "--threads-per-rank {t} is invalid: pick 1..={cores} \
-                     (this machine has {cores} core(s); omit the flag to \
-                     auto-size as cores / ranks)"
-                ));
-            }
-            Some(t)
-        }
-        None => None,
-    };
+    let threads_per_rank = threads_per_rank_from_args(args)?;
     let (c, h, w) = initial.shape();
     println!(
         "serve-bench: {requests} requests x {steps} steps on {source} \
@@ -691,7 +683,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
                     }
                 }
                 print!("{}", health.report().describe());
-                hold_and_stop_exporter(&mut exporter, hold_ms);
+                hold_and_stop_exporter(exporter, hold_ms);
                 return Err(format!(
                     "warm loop aborted after {} requests: rank panic classified as '{reason}'",
                     warm_ms.len()
@@ -799,7 +791,7 @@ pub fn serve_bench(args: &Args) -> Result<(), String> {
         std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("wrote {out}");
     }
-    hold_and_stop_exporter(&mut exporter, hold_ms);
+    hold_and_stop_exporter(exporter, hold_ms);
     Ok(())
 }
 

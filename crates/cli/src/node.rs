@@ -28,8 +28,8 @@
 
 use crate::args::Args;
 use crate::commands::{
-    chaos_from_args, fault_from_args, fmt_ms, halo_policy_from_args, hold_and_stop_exporter,
-    json_num, percentile, quick_fleet,
+    chaos_from_args, exporter_from_args, fault_from_args, fmt_ms, halo_policy_from_args,
+    hold_and_stop_exporter, json_num, percentile, quick_fleet,
 };
 use pde_commsim::{connect_tcp_world, record_recovery, CartComm, ChaosPlan, TrafficReport};
 use pde_ml_core::prelude::*;
@@ -695,18 +695,7 @@ fn launch(args: &Args) -> Result<(), String> {
             }
         });
     }
-    let mut exporter = match args.get("metrics-addr") {
-        Some(addr) => {
-            let e = pde_telemetry::exporter::serve(addr, health.clone())
-                .map_err(|err| format!("cannot serve metrics on {addr}: {err}"))?;
-            println!(
-                "metrics: http://{}/metrics (also /healthz, /readyz)",
-                e.local_addr()
-            );
-            Some(e)
-        }
-        None => None,
-    };
+    let exporter = exporter_from_args(args, &health)?;
 
     // Pick N free loopback ports by binding ephemeral listeners, recording
     // the assigned addresses and releasing them — the usual pre-fork
@@ -873,7 +862,7 @@ fn launch(args: &Args) -> Result<(), String> {
     let run = run?.expect("rank 0 gathers the world run");
     if !child_failures.is_empty() {
         panic_counter.inc(pde_telemetry::DRIVER);
-        hold_and_stop_exporter(&mut exporter, hold_ms);
+        hold_and_stop_exporter(exporter, hold_ms);
         return Err(format!(
             "world-node children failed: {}",
             child_failures.join("; ")
@@ -965,7 +954,7 @@ fn launch(args: &Args) -> Result<(), String> {
         std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("wrote {out}");
     }
-    hold_and_stop_exporter(&mut exporter, hold_ms);
+    hold_and_stop_exporter(exporter, hold_ms);
     Ok(())
 }
 

@@ -5,8 +5,9 @@
 //! sub-worlds ([`pde_commsim::World::split_even`]), wraps each in an
 //! engine and fans requests out through
 //! [`pde_ml_core::schedule::Scheduler`] — bounded queue, LRU residency,
-//! SLO-aware admission. The listener is the same std-only pattern as the
-//! telemetry exporter, extended to read `Content-Length` bodies.
+//! SLO-aware admission. HTTP is the telemetry crate's std-only
+//! [`pde_telemetry::http`] server, the one the metrics exporter runs on;
+//! this module only supplies the handler.
 //!
 //! Wire format (plain text, one token stream per line):
 //!
@@ -38,22 +39,13 @@
 use crate::args::Args;
 use pde_commsim::{TransportKind, World};
 use pde_ml_core::prelude::*;
+use pde_telemetry::http::{Request, Response, Server, MAX_REQUEST_BODY};
 use pde_tensor::Tensor3;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Largest request head (line + headers) we will buffer.
-const MAX_REQUEST_HEAD: usize = 4096;
-/// Largest request body we will buffer — a window of states for a big
-/// grid is ~1 MB; 16 MB leaves headroom without letting a rogue client
-/// exhaust memory.
-const MAX_REQUEST_BODY: usize = 16 << 20;
-/// Per-connection read budget.
-const REQUEST_DEADLINE: Duration = Duration::from_millis(2000);
 
 /// Sampled JSONL access log for `/v1/rollout`: one line per kept request
 /// with the request id and the phase-latency split, so a slow request can
@@ -253,7 +245,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    let access_log = Arc::new(access_log);
     let trace_out = args.get("trace-out").map(str::to_string);
 
     let (inf, initial, source) = build_model(args)?;
@@ -282,14 +273,23 @@ pub fn serve(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("warm-up request failed: {e}"))?;
     }
 
-    let listener = TcpListener::bind(addr).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("no local addr: {e}"))?;
+    let mut example = String::from("model serve\nsteps 2\n");
+    for _ in 0..inf.window() {
+        example.push_str(&encode_state(&initial));
+    }
+    let handler_sched = sched.clone();
+    // The server gives every connection its own thread: a request blocks on
+    // the scheduler (possibly for a whole queued rollout), and admission
+    // control — not connection count — is the concurrency limiter.
+    let server = Server::bind(addr, "pdeml-serve", move |request| {
+        handle(request, &handler_sched, &health, &example, &access_log)
+    })
+    .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     println!(
-        "serving on http://{local} — model 'serve' from {source} \
+        "serving on http://{} — model 'serve' from {source} \
          ({sub_worlds} sub-world(s) x {ranks} ranks, {} transport, \
          queue {queue_depth}, slo {})",
+        server.local_addr(),
         transport.label(),
         if slo_ms > 0 {
             format!("{slo_ms} ms")
@@ -298,35 +298,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         }
     );
     println!("POST /v1/rollout (GET /v1/example for a request body); /metrics /healthz /readyz; POST /shutdown to stop");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let sched = sched.clone();
-        let health = health.clone();
-        let stop = stop.clone();
-        let initial = initial.clone();
-        let access_log = access_log.clone();
-        let window = inf.window();
-        // Thread-per-connection: request handling blocks on the scheduler
-        // (possibly for a whole queued rollout), and admission control —
-        // not connection count — is the concurrency limiter.
-        std::thread::spawn(move || {
-            let _ = handle_conn(
-                stream,
-                &sched,
-                &health,
-                &stop,
-                &initial,
-                window,
-                &access_log,
-            );
-        });
-    }
-    drop(listener);
+    server.join();
     println!("shutdown requested; draining scheduler…");
     // Dropping the scheduler joins its dispatchers after the queue drains.
     drop(sched);
@@ -338,136 +310,28 @@ pub fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads one HTTP request: head to `\r\n\r\n`, then `Content-Length`
-/// bytes of body (the exporter's reader stops at the head; an inference
-/// request *is* its body, so this one keeps going).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, Vec<u8>)> {
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_REQUEST_HEAD || Instant::now() > deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request head too large or too slow",
-            ));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-head",
-                ))
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
-            Err(e) => return Err(e),
-        }
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
-    let content_length = head
-        .lines()
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > MAX_REQUEST_BODY {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
-    }
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        if Instant::now() > deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "request body too slow",
-            ));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    body.truncate(content_length);
-    Ok((head, body))
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-const TEXT: &str = "text/plain; charset=utf-8";
-
-fn respond(stream: &mut TcpStream, status: &str, body: &str) -> std::io::Result<()> {
-    respond_with(stream, status, TEXT, "", body)
-}
-
-/// Like [`respond`] with an explicit content type and extra header lines
-/// (each `\r\n`-terminated) — the rollout route uses these for
-/// `X-PDEML-Request-Id`/`Server-Timing`.
-fn respond_with(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    extra_headers: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_conn(
-    mut stream: TcpStream,
+/// Answers one request: the exporter's observability routes for GET, then
+/// the inference routes.
+fn handle(
+    request: &Request,
     sched: &Scheduler,
     health: &pde_telemetry::health::HealthModel,
-    stop: &AtomicBool,
-    initial: &Tensor3,
-    window: usize,
+    example: &str,
     access_log: &Option<AccessLog>,
-) -> std::io::Result<()> {
-    let (head, body) = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = respond(&mut stream, "400 Bad Request", &format!("{e}\n"));
-            return Ok(());
-        }
-    };
-    let mut first = head.lines().next().unwrap_or("").split_whitespace();
-    let method = first.next().unwrap_or("");
-    let path = first.next().unwrap_or("/");
+) -> Response {
+    let (method, path) = (request.method.as_str(), request.path.as_str());
     if method == "GET" {
-        if let Some((status, content_type, body)) = pde_telemetry::exporter::route(path, health) {
-            return respond_with(&mut stream, status, content_type, "", &body);
+        if let Some(response) = pde_telemetry::exporter::route(path, health) {
+            return response;
         }
     }
     match (method, path) {
-        ("GET", "/v1/example") => {
-            let mut body = String::from("model serve\nsteps 2\n");
-            for _ in 0..window {
-                body.push_str(&encode_state(initial));
-            }
-            respond(&mut stream, "200 OK", &body)
-        }
+        ("GET", "/v1/example") => Response::text("200 OK", example),
         ("POST", "/v1/rollout") => {
-            let text = String::from_utf8_lossy(&body);
+            let text = String::from_utf8_lossy(&request.body);
             let (model, steps, history) = match parse_rollout_request(&text) {
                 Ok(parsed) => parsed,
-                Err(e) => return respond(&mut stream, "400 Bad Request", &format!("{e}\n")),
+                Err(e) => return Response::text("400 Bad Request", format!("{e}\n")),
             };
             // The request id is allocated at ingress, before admission, so
             // even a shed request has an id its 429 can be correlated by.
@@ -499,22 +363,19 @@ fn handle_conn(
                     ts_ms, id, &model, steps, status, &phases, total_us,
                 ));
             }
-            let headers = format!(
-                "X-PDEML-Request-Id: {id}\r\nServer-Timing: {}\r\n",
-                server_timing(&phases)
-            );
-            respond_with(&mut stream, status, TEXT, &headers, &body_out)
-        }
-        ("POST", "/shutdown") => {
-            stop.store(true, Ordering::Release);
-            let r = respond(&mut stream, "200 OK", "shutting down\n");
-            // Poke the accept loop awake so it observes the stop flag.
-            if let Ok(addr) = stream.local_addr() {
-                let _ = TcpStream::connect(addr);
+            Response {
+                headers: format!(
+                    "X-PDEML-Request-Id: {id}\r\nServer-Timing: {}\r\n",
+                    server_timing(&phases)
+                ),
+                ..Response::text(status, body_out)
             }
-            r
         }
-        _ => respond(&mut stream, "404 Not Found", "unknown route\n"),
+        ("POST", "/shutdown") => Response {
+            stop_server: true,
+            ..Response::text("200 OK", "shutting down\n")
+        },
+        _ => Response::text("404 Not Found", "unknown route\n"),
     }
 }
 

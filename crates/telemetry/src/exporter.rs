@@ -1,151 +1,49 @@
 //! Minimal std-only HTTP exporter: `/metrics`, `/healthz`, `/readyz`.
 //!
-//! Hand-rolled over `std::net::TcpListener` so the telemetry crate stays
-//! dependency-free — the exporter is the tool you reach for when things are
-//! broken, so it must not share failure modes with the stack it observes.
-//! One accept-loop thread, one request per connection, no keep-alive: a
-//! scrape every few seconds from one or two collectors is the design load.
+//! The exporter is the tool you reach for when things are broken, so it
+//! must not share failure modes with the stack it observes: it runs on the
+//! dependency-free [`crate::http`] server, and [`route`] is the whole of
+//! its logic. `pdeml serve` calls [`route`] too, so both answer these
+//! routes identically.
 
 use crate::health::HealthModel;
+use crate::http::{Response, Server};
 use crate::render_prometheus;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// A running exporter. Dropping it stops the accept loop and joins the
-/// serving thread.
-pub struct Exporter {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Exporter {
-    /// The bound address — useful when serving on port 0.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Signals the accept loop to exit and joins it.
-    pub fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::Release);
-            // The loop is parked in accept(); poke it awake.
-            let _ = TcpStream::connect(self.local_addr);
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Exporter {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+// Names the unit tests below reach through `super::*`.
+#[cfg(test)]
+use {
+    crate::http::MAX_REQUEST_HEAD,
+    std::io::{Read, Write},
+    std::net::{SocketAddr, TcpStream},
+    std::time::Duration,
+};
 
 /// Binds `addr` (e.g. `"127.0.0.1:9184"`, port 0 for ephemeral) and serves
-/// the global registry plus `health` on a named background thread.
-pub fn serve(addr: &str, health: Arc<HealthModel>) -> std::io::Result<Exporter> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let handle = std::thread::Builder::new()
-        .name("pdeml-metrics".into())
-        .spawn(move || accept_loop(listener, stop2, health))
-        .expect("spawn metrics exporter thread");
-    Ok(Exporter {
-        local_addr,
-        stop,
-        handle: Some(handle),
+/// the global registry plus `health`; dropping the server stops it.
+pub fn serve(addr: &str, health: Arc<HealthModel>) -> std::io::Result<Server> {
+    Server::bind(addr, "pdeml-metrics", move |request| {
+        route(&request.path, &health).unwrap_or_else(|| {
+            Response::text(
+                "404 Not Found",
+                "not found; try /metrics /healthz /readyz\n",
+            )
+        })
     })
 }
 
-fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, health: Arc<HealthModel>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        // One slow or wedged client must not hold the loop forever: the
-        // whole request head gets the single deadline read_request_head
-        // arms, then the connection is answered and dropped.
-        let _ = handle_conn(stream, &health);
-    }
-}
-
-/// Longest request head the exporter will buffer before answering with
-/// whatever has arrived — a scrape request line is tens of bytes.
-const MAX_REQUEST_HEAD: usize = 4096;
-
-/// Total budget for reading one request head, armed ONCE per connection:
-/// every retry read gets the *remaining* budget, never a fresh 500 ms, so a
-/// trickling client is cut off after 500 ms wall-clock total.
-const REQUEST_DEADLINE: Duration = Duration::from_millis(500);
-
-/// Reads a connection's request head until the blank line (`\r\n\r\n`),
-/// EOF, the size bound, or the deadline — whichever comes first.
-///
-/// TCP does not preserve write boundaries: a client's single `write` of
-/// `GET /metrics …` may arrive as several segments, so a single `read` can
-/// observe half a request line. Looping until the head terminator is the
-/// fix; the bound and the single shared deadline keep a malicious or wedged
-/// client from holding the accept loop.
-fn read_request_head(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let mut head: Vec<u8> = Vec::with_capacity(256);
-    let mut chunk = [0u8; 256];
-    while head.len() < MAX_REQUEST_HEAD {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break; // budget spent: answer whatever arrived
-        }
-        stream.set_read_timeout(Some(remaining))?;
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => break, // client finished sending
-            Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                break
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        head.extend_from_slice(&chunk[..n]);
-        // The terminator can straddle the previous chunk boundary — rescan
-        // from 3 bytes before this chunk, not the whole head.
-        let from = head.len().saturating_sub(n + 3);
-        if head[from..].windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
-    }
-    Ok(head)
-}
-
-/// Content type of the health routes' plain-text reports.
-const TEXT: &str = "text/plain; charset=utf-8";
-
-/// Answers the observability routes as `(status, content type, body)`:
-/// `/metrics` in the Prometheus text format, `/healthz` (503 only when
-/// unhealthy) and `/readyz` (200 only when healthy); `None` for any other
-/// path. Servers that embed these routes call this, so they answer them
-/// exactly as the exporter does.
-pub fn route(path: &str, health: &HealthModel) -> Option<(&'static str, &'static str, String)> {
+/// Answers the observability routes: `/metrics` in the Prometheus text
+/// format, `/healthz` (503 only when unhealthy) and `/readyz` (200 only
+/// when healthy); `None` for any other path. Servers that embed these
+/// routes call this, so they answer them exactly as the exporter does.
+pub fn route(path: &str, health: &HealthModel) -> Option<Response> {
     use crate::health::Health::{Healthy, Unhealthy};
     let readiness = match path {
         "/metrics" => {
-            let prometheus = "text/plain; version=0.0.4; charset=utf-8";
-            return Some(("200 OK", prometheus, render_prometheus()));
+            return Some(Response {
+                content_type: "text/plain; version=0.0.4; charset=utf-8",
+                ..Response::text("200 OK", render_prometheus())
+            })
         }
         "/healthz" => false,
         "/readyz" => true,
@@ -158,30 +56,7 @@ pub fn route(path: &str, health: &HealthModel) -> Option<(&'static str, &'static
     } else {
         "503 Service Unavailable"
     };
-    Some((status, TEXT, report.describe()))
-}
-
-fn handle_conn(mut stream: TcpStream, health: &HealthModel) -> std::io::Result<()> {
-    let head = read_request_head(&mut stream)?;
-    let request = String::from_utf8_lossy(&head);
-    let path = request
-        .lines()
-        .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .unwrap_or("/");
-
-    let (status, content_type, body) = route(path, health).unwrap_or((
-        "404 Not Found",
-        TEXT,
-        "not found; try /metrics /healthz /readyz\n".to_string(),
-    ));
-
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    Some(Response::text(status, report.describe()))
 }
 
 #[cfg(test)]
@@ -278,6 +153,22 @@ mod tests {
             body.lines().next().unwrap_or("").contains("200"),
             "bounded head must still answer the parsed route: {body}"
         );
+    }
+
+    #[test]
+    fn drains_a_request_body_before_answering() {
+        // Regression: the reader used to stop at the blank line and close
+        // with the body unread, so the kernel reset the connection and the
+        // client never saw the response.
+        let health = Arc::new(HealthModel::new());
+        let exporter = serve("127.0.0.1:0", health).unwrap();
+        let mut stream = TcpStream::connect(exporter.local_addr()).unwrap();
+        let head = b"POST /healthz HTTP/1.1\r\nContent-Length: 4096\r\n\r\n";
+        stream.write_all(head).unwrap();
+        stream.write_all(&[b'x'; 4096]).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //!   `pde_trace::dropped_spans_total`).
 //!
 //! The registry renders the Prometheus text exposition format
-//! ([`render_prometheus`]); [`exporter`] serves it over a hand-rolled
-//! std-only HTTP listener together with `/healthz` + `/readyz` driven by the
-//! explicit [`health`] model. No dependencies, by design: the exporter must
+//! ([`render_prometheus`]); [`exporter`] serves it over the hand-rolled
+//! std-only [`http`] server together with `/healthz` + `/readyz` driven by
+//! the explicit [`health`] model. No dependencies, by design: the exporter must
 //! keep working when everything else is on fire.
 
 pub mod exporter;
 pub mod health;
+pub mod http;
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};

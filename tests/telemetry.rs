@@ -185,6 +185,42 @@ fn exporter_serves_metrics_and_tracks_health_transitions() {
     exporter.shutdown();
 }
 
+/// The shared HTTP server hands the handler exactly `Content-Length` body
+/// bytes, and answers 400 itself when that length does not parse, is over
+/// the body bound, or is not delivered before EOF.
+#[test]
+fn http_server_reads_exactly_content_length_or_answers_400() {
+    use pde_telemetry::http::{Request, Response, Server, MAX_REQUEST_BODY};
+    let server = Server::bind("127.0.0.1:0", "http-test", |req: &Request| {
+        let echo = format!("{} {} {}", req.method, req.path, req.body.len());
+        Response::text("200 OK", echo)
+    })
+    .expect("bind ephemeral port");
+    let exchange = |length: &str, body: &[u8]| {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let head = format!("POST /echo HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    };
+
+    let reply = exchange("5", b"hello");
+    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+    assert!(reply.ends_with("\r\n\r\nPOST /echo 5"), "{reply}");
+    let over = (MAX_REQUEST_BODY + 1).to_string();
+    for (length, body) in [("five", &b"hello"[..]), (&over, b""), ("5", b"hel")] {
+        let reply = exchange(length, body);
+        assert!(
+            reply.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+            "Content-Length {length} with {} body bytes: {reply}",
+            body.len()
+        );
+    }
+}
+
 /// The warm engine records every request into the process-global latency
 /// histogram; its quantiles must track externally measured wall-clock
 /// latencies of the same requests.
