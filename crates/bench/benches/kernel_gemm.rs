@@ -7,15 +7,17 @@
 //! `simd-1t` / `tn-simd-1t` / `nt-simd-1t` (the three transpose variants on
 //! the best SIMD path, one thread) and `simd-nt` (SIMD × all cores) — so
 //! the two acceleration levels are separable in `BENCH_kernels.json`.
-//! Shapes are the `(out_c × col_rows × col_cols)` GEMMs the
-//! paper's CNN lowers to on a 64×64 subdomain: layer 1 maps 4 input channels
-//! through 5×5 kernels to 6 channels (6×100×4096), layer 2 maps 6 to 16
-//! (16×150×4096), layer 3 maps 16 back to 4 (4×400×4096).
+//! Shapes are the `(out_c × col_rows × col_cols)` GEMMs every conv layer of
+//! `ArchSpec::paper()` (4→6→16→6→4, 5×5) lowers to on a 64×64 subdomain:
+//! 6×100×4096, 16×150×4096, 6×400×4096 and 4×150×4096. The column count is
+//! a cache-resident stand-in; `kernel_conv` times the layers at training
+//! shape.
 //!
 //! The final "report" step writes `BENCH_kernels.json` at the workspace root
 //! with mean seconds/iter and derived GFLOP/s per benchmark.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pde_ml_core::arch::ArchSpec;
 use pde_tensor::{force_kernel_path, gemm, kernel_path, pool, KernelPath};
 
 /// The pre-packing seed kernel: cache-blocked triple loop with a zero-skip
@@ -60,12 +62,23 @@ fn det_fill(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Table-I layer GEMM shapes `(label, m, k, n)` for a 64×64 subdomain.
-const SHAPES: &[(&str, usize, usize, usize)] = &[
-    ("layer1-6x100x4096", 6, 100, 4096),
-    ("layer2-16x150x4096", 16, 150, 4096),
-    ("layer3-4x400x4096", 4, 400, 4096),
-];
+/// Output pixels of the 64×64 subdomain every shape is timed at.
+const COLS: usize = 64 * 64;
+
+/// Table-I layer GEMM shapes `(label, m, k, n)`, one per conv layer of
+/// `ArchSpec::paper()`. Labels end in `-MxKxN`, which `report` (and the CI
+/// bench smoke) parse back.
+fn shapes() -> Vec<(String, usize, usize, usize)> {
+    let arch = ArchSpec::paper();
+    arch.channels
+        .windows(2)
+        .enumerate()
+        .map(|(l, pair)| {
+            let (m, k) = (pair[1], pair[0] * arch.kernel * arch.kernel);
+            (format!("layer{}-{m}x{k}x{COLS}", l + 1), m, k, COLS)
+        })
+        .collect()
+}
 
 /// The SIMD flavor for the `simd-*` rows: the detected default, which is
 /// the best supported path unless `PDEML_KERNEL` overrides it — so
@@ -85,7 +98,8 @@ fn bench_gemm(c: &mut Criterion) {
         cores
     );
     let mut group = c.benchmark_group("gemm");
-    for &(label, m, k, n) in SHAPES {
+    for (label, m, k, n) in shapes() {
+        let label = label.as_str();
         let a = det_fill(m * k, 42);
         let b = det_fill(k * n, 7);
         let bt = det_fill(n * k, 7); // B stored n × k for the *Bᵀ path

@@ -4,10 +4,21 @@
 //! Two forward implementations are provided: a direct seven-loop kernel
 //! (trivially auditable, used as the test oracle) and the im2col+GEMM
 //! lowering (the fast path used by `pde-nn`). Both share [`Conv2dSpec`].
+//!
+//! The im2col lowering is tiled: every pass goes through the GEMM layer's
+//! convolution entry, which fills one `rows × 256` column-matrix tile at a
+//! time straight from the input and feeds it to the GEMM micro-kernels. The
+//! column matrix of a whole sample — let alone of a batch — never exists,
+//! so the working set is the tile (at most 800 KiB for the paper's layers,
+//! L2-resident) whatever the batch or grid. Backward-input computes one
+//! tile of `Wᵀ · grad_out` at a time and scatters it into `grad_in`,
+//! walking the tiles from the last column to the first so each input pixel
+//! still receives its kernel taps in ascending order. Results are bitwise
+//! those of the whole-sample [`crate::im2col::im2col`] /
+//! [`crate::im2col::col2im`] + GEMM lowering (see `gemm::conv_gemm`).
 
-use crate::gemm::{gemm_batch, gemm_nt_batch, gemm_tn_batch};
-use crate::im2col::{col2im, im2col, ConvGeom};
-use crate::pool::{self, SendPtr};
+use crate::gemm::{conv_gemm, ConvPass};
+use crate::im2col::ConvGeom;
 use crate::Tensor4;
 
 /// Static description of a convolution layer's arithmetic.
@@ -151,28 +162,17 @@ pub fn conv2d(input: &Tensor4, weight: &Tensor4, bias: &[f64], spec: &Conv2dSpec
     out
 }
 
-/// Scratch buffers reused across im2col convolution calls to avoid
-/// per-sample allocation in the training loop.
-#[derive(Default, Clone)]
-pub struct ConvScratch {
-    cols: Vec<f64>,
-}
+/// Convolution workspace handle, still taken by every conv entry point so
+/// their signatures hold for existing callers. It holds nothing: the
+/// lowering's tile buffers are per thread, since pool workers need their
+/// own.
+#[derive(Default, Clone, Debug)]
+pub struct ConvScratch;
 
 impl ConvScratch {
-    /// New empty scratch (buffers grow on first use).
+    /// New scratch handle.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The batch-wide column buffer: `samples` consecutive per-sample column
-    /// matrices. Grows monotonically, so a buffer that has seen the largest
-    /// layer × batch combination never reallocates again.
-    fn cols_for_batch(&mut self, g: &ConvGeom, samples: usize) -> &mut [f64] {
-        let need = samples * g.col_rows() * g.col_cols();
-        if self.cols.len() < need {
-            self.cols.resize(need, 0.0);
-        }
-        &mut self.cols[..need]
+        Self
     }
 }
 
@@ -191,15 +191,14 @@ pub fn conv2d_im2col(
 }
 
 /// [`conv2d_im2col`] writing into a caller-owned output tensor (resized in
-/// place), with the whole mini-batch lowered at once: every sample's columns
-/// land in one batch-wide buffer and a single batched GEMM computes all
-/// samples, sharing one packed copy of the weight matrix.
+/// place). One GEMM call covers the mini-batch, sharing one packed copy of
+/// the weight matrix; the columns are lowered one tile at a time.
 pub fn conv2d_im2col_into(
     input: &Tensor4,
     weight: &Tensor4,
     bias: &[f64],
     spec: &Conv2dSpec,
-    scratch: &mut ConvScratch,
+    _scratch: &mut ConvScratch,
     out: &mut Tensor4,
 ) {
     spec.check_weights(weight);
@@ -212,11 +211,8 @@ pub fn conv2d_im2col_into(
     let g = spec.geom(h, w);
     g.validate();
     let (oh, ow) = (g.out_h(), g.out_w());
-    let (rows, n_cols) = (g.col_rows(), g.col_cols());
+    let n_cols = g.col_cols();
     out.resize(n, spec.out_c, oh, ow);
-
-    let cols = scratch.cols_for_batch(&g, n);
-    im2col_batch(input, &g, cols, rows * n_cols);
     let y = out.as_mut_slice();
     if bias.is_empty() {
         y.fill(0.0);
@@ -226,7 +222,16 @@ pub fn conv2d_im2col_into(
         }
     }
     // Per sample: (out_c × rows) · (rows × n_cols) += into (out_c × n_cols).
-    gemm_batch(n, spec.out_c, rows, n_cols, weight.as_slice(), cols, y);
+    conv_gemm(
+        &g,
+        spec.out_c,
+        n,
+        ConvPass::Forward {
+            input: input.as_slice(),
+            weight: weight.as_slice(),
+            out: y,
+        },
+    );
 }
 
 /// Gradient of the loss w.r.t. the convolution *input*.
@@ -248,15 +253,16 @@ pub fn conv2d_backward_input(
 }
 
 /// [`conv2d_backward_input`] writing into a caller-owned tensor (resized in
-/// place), batch-fused: one batched GEMM produces every sample's column
-/// gradients against a single packed copy of the weight matrix.
+/// place). One GEMM call covers the mini-batch against a single packed copy
+/// of the weight matrix; each tile of column gradients is scattered into
+/// `grad_in` as soon as it is computed.
 pub fn conv2d_backward_input_into(
     grad_out: &Tensor4,
     weight: &Tensor4,
     spec: &Conv2dSpec,
     in_h: usize,
     in_w: usize,
-    scratch: &mut ConvScratch,
+    _scratch: &mut ConvScratch,
     grad_in: &mut Tensor4,
 ) {
     spec.check_weights(weight);
@@ -268,67 +274,35 @@ pub fn conv2d_backward_input_into(
         (oh, ow),
         "backward_input: geometry mismatch"
     );
-    let (rows, n_cols) = (g.col_rows(), g.col_cols());
     grad_in.resize(n, spec.in_c, in_h, in_w);
     grad_in.as_mut_slice().fill(0.0);
-
-    // cols_grad_s = Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols).
-    let cols = scratch.cols_for_batch(&g, n);
-    cols.fill(0.0);
-    gemm_tn_batch(
-        n,
-        rows,
+    // grad_in_s = col2im(Wᵀ (rows × out_c) · grad_out_s (out_c × n_cols)).
+    conv_gemm(
+        &g,
         spec.out_c,
-        n_cols,
-        weight.as_slice(),
-        grad_out.as_slice(),
-        cols,
+        n,
+        ConvPass::BackwardInput {
+            weight: weight.as_slice(),
+            grad_out: grad_out.as_slice(),
+            grad_in: grad_in.as_mut_slice(),
+        },
     );
-    // Per-sample scatters write disjoint samples of grad_in — one pool
-    // chunk each, same per-sample operation order as the sequential loop.
-    let sample_len = spec.in_c * in_h * in_w;
-    let stride_len = rows * n_cols;
-    let cols: &[f64] = cols;
-    let gi = SendPtr(grad_in.as_mut_slice().as_mut_ptr());
-    pool::run(n, &|s| {
-        // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
-        #[allow(clippy::redundant_locals)]
-        let gi = gi;
-        // SAFETY: chunk `s` owns sample `s`'s disjoint grad_in region.
-        let out = unsafe { std::slice::from_raw_parts_mut(gi.0.add(s * sample_len), sample_len) };
-        col2im(&cols[s * stride_len..][..stride_len], &g, out);
-    });
-}
-
-/// Lowers every sample of `input` into its slot of the batch-wide column
-/// buffer, one pool chunk per sample (disjoint `stride_len`-sized slots).
-fn im2col_batch(input: &Tensor4, g: &ConvGeom, cols: &mut [f64], stride_len: usize) {
-    let n = input.n();
-    let dst = SendPtr(cols.as_mut_ptr());
-    pool::run(n, &|s| {
-        // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
-        #[allow(clippy::redundant_locals)]
-        let dst = dst;
-        // SAFETY: chunk `s` owns cols slot `s` exclusively.
-        let slot = unsafe { std::slice::from_raw_parts_mut(dst.0.add(s * stride_len), stride_len) };
-        im2col(input.sample(s), g, slot);
-    });
 }
 
 /// Gradient of the loss w.r.t. the convolution *weights* and *bias*.
 ///
 /// Accumulates into `grad_weight` (shape `(out_c, in_c, kh, kw)`) and
 /// `grad_bias` (length `out_c`, or empty to skip), matching the convention
-/// that gradients are summed over a mini-batch. Batch-fused: the whole
-/// mini-batch is lowered once and a single batched GEMM accumulates every
-/// sample's contribution into the shared gradient tile.
+/// that gradients are summed over a mini-batch. One GEMM call accumulates
+/// every sample's contribution into the shared gradient, samples in
+/// ascending order, lowering the columns one KC-aligned tile at a time.
 pub fn conv2d_backward_weight(
     input: &Tensor4,
     grad_out: &Tensor4,
     spec: &Conv2dSpec,
     grad_weight: &mut Tensor4,
     grad_bias: &mut [f64],
-    scratch: &mut ConvScratch,
+    _scratch: &mut ConvScratch,
 ) {
     spec.check_input(input);
     assert_eq!(
@@ -348,19 +322,17 @@ pub fn conv2d_backward_weight(
         (n, spec.out_c, oh, ow),
         "backward_weight: grad_out shape"
     );
-    let (rows, n_cols) = (g.col_rows(), g.col_cols());
-
-    let cols = scratch.cols_for_batch(&g, n);
-    im2col_batch(input, &g, cols, rows * n_cols);
+    let n_cols = g.col_cols();
     // grad_W (out_c × rows) += Σ_s grad_out_s (out_c × n_cols) · cols_sᵀ.
-    gemm_nt_batch(
-        n,
+    conv_gemm(
+        &g,
         spec.out_c,
-        n_cols,
-        rows,
-        grad_out.as_slice(),
-        cols,
-        grad_weight.as_mut_slice(),
+        n,
+        ConvPass::BackwardWeight {
+            input: input.as_slice(),
+            grad_out: grad_out.as_slice(),
+            grad_weight: grad_weight.as_mut_slice(),
+        },
     );
     if !grad_bias.is_empty() {
         for s in 0..n {

@@ -2,8 +2,12 @@
 //! selected SIMD micro-kernels and intra-rank threading.
 //!
 //! The kernels here are the single hot spot of the whole training pipeline:
-//! every convolution forward/backward pass lowers to one of them (see
-//! [`crate::im2col`]). The architecture is two-level (ISSUE 6):
+//! every convolution forward/backward pass runs on them. A convolution never
+//! materializes its column matrix: `conv_gemm`, the convolution entry,
+//! fills one `rows × 256` im2col tile at a time straight from the input (or,
+//! for the input gradient, scatters one tile of column gradients at a time)
+//! and feeds the tile to the same micro-kernels, so a pass's working set is
+//! L2-sized whatever the batch or grid. The architecture is two-level:
 //!
 //! * **Instruction level** — a [`KernelPath`] chosen once per process
 //!   ([`kernel_path`]): explicit AVX-512 or AVX2+FMA micro-kernels from
@@ -13,8 +17,9 @@
 //!   [`force_kernel_path`] overrides for benches.
 //! * **Thread level** — the driver's macro-loops fan out over
 //!   [`crate::pool`]: batched calls chunk per sample, single-sample calls
-//!   chunk per [`NC`]-column block. Each C element is written by exactly
-//!   one chunk with a fixed operation order, so results are bit-for-bit
+//!   chunk per [`NC`]-column block (convolution passes chunk as
+//!   `conv_gemm` describes). Each C element is written by exactly one
+//!   chunk with a fixed operation order, so results are bit-for-bit
 //!   identical at every thread budget.
 //!
 //! Operand handling depends on the layout: row-major B (`Trans::N`) is read
@@ -32,12 +37,14 @@
 //! relative tolerance, is retained in the test helper for future kernels
 //! that reassociate; today nothing needs it.)
 //!
-//! Pack buffers live in thread-local storage and are reused across calls,
-//! so steady-state GEMM performs no heap allocation — including on pool
-//! workers, each of which owns its own pack buffers. Every driver call
-//! records FLOPs, call counts, kernel nanoseconds and packing traffic in
-//! [`crate::perf`].
+//! Pack buffers and im2col tiles live in thread-local storage and are
+//! reused across calls, so steady-state GEMM performs no heap allocation —
+//! including on pool workers, each of which owns its own buffers. Every
+//! driver or convolution call makes one record of its FLOPs, kernel
+//! nanoseconds and packing traffic in [`crate::perf`], however many tiles
+//! it ran.
 
+use crate::im2col::{col2im_tile, im2col_tile, ConvGeom};
 use crate::{perf, pool, Matrix};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -262,22 +269,25 @@ fn pack_a_block(
     }
 }
 
-/// Packs a chunk of B — columns `jc .. jc+nc_eff`, shared rows
-/// `p0 .. p0+kc` — into `buf` as `ceil(nc_eff / NR)` NR-interleaved strips
-/// (strip `js` at `buf[js*kc*NR..]`, element `(p, c)` at `p*NR + c`), zero-
-/// padding the last strip.
+/// Packs a chunk of B — view columns `jc .. jc+nc_eff` of one KC block —
+/// into `buf` as `ceil(nc_eff / NR)` NR-interleaved strips (strip `js` at
+/// `buf[js*kc*NR..]`, element `(p, c)` at `p*NR + c`), zero-padding the last
+/// strip.
 ///
-/// For `Trans::N` (`k × n` slice) each source row contributes one contiguous
+/// `b` starts at the block's first shared row. For `Trans::N` element
+/// `(p, j)` is `b[p*ldb + j]` and each row contributes one contiguous
 /// `nc_eff`-wide run (`copy_from_slice`, i.e. vector moves), scattered
-/// across the strips; for `Trans::T` (`n × k` slice) the transposition
-/// happens here, walking contiguous columns.
+/// across the strips; for `Trans::T` it is `b[j*ldb + p]` and the
+/// transposition happens here, walking contiguous columns — on the AVX-512
+/// path full strips transpose 8×8 blocks in registers
+/// ([`crate::simd::pack_a8_n_512`]: a strip of `Bᵀ` has exactly the layout
+/// of an 8-row A panel). Packing is pure data movement either way.
 #[allow(clippy::too_many_arguments)]
 fn pack_b_chunk(
+    path: KernelPath,
     op: Trans,
     b: &[f64],
-    k: usize,
-    n: usize,
-    p0: usize,
+    ldb: usize,
     kc: usize,
     jc: usize,
     nc_eff: usize,
@@ -287,9 +297,9 @@ fn pack_b_chunk(
     let rem = nc_eff % NR;
     match op {
         Trans::N => {
-            // b[(p0+p)*n + jc+c] → strip[c/NR][p*NR + c%NR]
+            // b[p*ldb + jc+c] → strip[c/NR][p*NR + c%NR]
             for p in 0..kc {
-                let src = &b[(p0 + p) * n + jc..][..nc_eff];
+                let src = &b[p * ldb + jc..][..nc_eff];
                 for js in 0..full {
                     let dst = &mut buf[js * kc * NR + p * NR..][..NR];
                     dst.copy_from_slice(&src[js * NR..][..NR]);
@@ -302,12 +312,25 @@ fn pack_b_chunk(
             }
         }
         Trans::T => {
-            // b stored n × k: b[(jc+c)*k + p0+p] → strip[c/NR][p*NR + c%NR]
+            // b[(jc+c)*ldb + p] → strip[c/NR][p*NR + c%NR]
             if rem > 0 {
                 buf[full * kc * NR..][..kc * NR].fill(0.0);
             }
-            for c in 0..nc_eff {
-                let col = &b[(jc + c) * k + p0..][..kc];
+            let mut c0 = 0;
+            #[cfg(target_arch = "x86_64")]
+            if path == KernelPath::Avx512 {
+                for js in 0..full {
+                    let strip = &mut buf[js * kc * NR..][..kc * NR];
+                    // SAFETY: AVX-512 is the selected (detected) path; the
+                    // strip's NR = 8 source rows jc+js*8.. all exist.
+                    unsafe { crate::simd::pack_a8_n_512(b, ldb, jc + js * NR, 0, kc, strip) };
+                }
+                c0 = full * NR;
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = path;
+            for c in c0..nc_eff {
+                let col = &b[(jc + c) * ldb..][..kc];
                 let (js, cr) = (c / NR, c % NR);
                 let strip = &mut buf[js * kc * NR..][..kc * NR];
                 for (p, &v) in col.iter().enumerate() {
@@ -391,16 +414,16 @@ unsafe fn micro_kernel(
 /// GFLOP/s. The accumulation chain is identical to [`micro_kernel`]'s.
 ///
 /// # Safety
-/// See [`write_back`]; `b` must hold the sample's `k × n` matrix.
+/// See [`write_back`]; `b` must hold the block's `kc` rows (stride `ldb`).
 #[allow(clippy::too_many_arguments)]
 unsafe fn scalar_edge_block(
     m: usize,
-    n: usize,
     ap: &[f64],
     kc: usize,
     b: &[f64],
-    p0: usize,
+    ldb: usize,
     c: *mut f64,
+    ldc: usize,
     j_lo: usize,
     j_hi: usize,
 ) {
@@ -411,7 +434,7 @@ unsafe fn scalar_edge_block(
         if nr_eff == NR {
             for (p, a_col) in ap.chunks_exact(MR).take(kc).enumerate() {
                 let a_col: &[f64; MR] = a_col.try_into().unwrap();
-                let b_row: &[f64; NR] = b[(p0 + p) * n + j0..][..NR].try_into().unwrap();
+                let b_row: &[f64; NR] = b[p * ldb + j0..][..NR].try_into().unwrap();
                 for r in 0..MR {
                     let av = a_col[r];
                     for j in 0..NR {
@@ -421,7 +444,7 @@ unsafe fn scalar_edge_block(
             }
         } else {
             for (p, a_col) in ap.chunks_exact(MR).take(kc).enumerate() {
-                let b_row = &b[(p0 + p) * n + j0..][..nr_eff];
+                let b_row = &b[p * ldb + j0..][..nr_eff];
                 for r in 0..MR {
                     let av = a_col[r];
                     for (j, &bv) in b_row.iter().enumerate() {
@@ -430,7 +453,7 @@ unsafe fn scalar_edge_block(
                 }
             }
         }
-        unsafe { write_back(&acc, c, 0, j0, m, nr_eff, n) };
+        unsafe { write_back(&acc, c, 0, j0, m, nr_eff, ldc) };
         j0 += NR;
     }
 }
@@ -441,20 +464,20 @@ unsafe fn scalar_edge_block(
 /// every A panel while cache-hot.
 ///
 /// # Safety
-/// See [`write_back`]; `abuf` must hold `ceil(m/mr)` packed panels.
+/// See [`write_back`]; `abuf` must hold `ceil(m/mr)` packed panels; `b` is
+/// the block's B view (see [`pack_b_chunk`]) and `c` has row stride `ldc`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn packed_block(
     path: KernelPath,
     op_b: Trans,
     m: usize,
-    k: usize,
-    n: usize,
     abuf: &[f64],
     mr: usize,
     kc: usize,
-    p0: usize,
     b: &[f64],
+    ldb: usize,
     c: *mut f64,
+    ldc: usize,
     j_lo: usize,
     j_hi: usize,
 ) {
@@ -467,7 +490,7 @@ unsafe fn packed_block(
         }
         for jc in (j_lo..j_hi).step_by(NC) {
             let nc_eff = NC.min(j_hi - jc);
-            pack_b_chunk(op_b, b, k, n, p0, kc, jc, nc_eff, &mut bbuf);
+            pack_b_chunk(path, op_b, b, ldb, kc, jc, nc_eff, &mut bbuf);
             for js in 0..nc_eff.div_ceil(NR) {
                 let strip = &bbuf[js * kc * NR..][..kc * NR];
                 let j0 = jc + js * NR;
@@ -480,18 +503,18 @@ unsafe fn packed_block(
                         // by the driver, SIMD paths feature-checked at
                         // selection time.
                         KernelPath::Scalar => unsafe {
-                            micro_kernel(ap, strip, c, i0, j0, mr_eff, nr_eff, n)
+                            micro_kernel(ap, strip, c, i0, j0, mr_eff, nr_eff, ldc)
                         },
                         #[cfg(target_arch = "x86_64")]
                         KernelPath::Avx2 => unsafe {
                             crate::simd::packed_strip_avx2(
-                                ap, strip, kc, c, i0, j0, mr_eff, nr_eff, n,
+                                ap, strip, kc, c, i0, j0, mr_eff, nr_eff, ldc,
                             )
                         },
                         #[cfg(target_arch = "x86_64")]
                         KernelPath::Avx512 => unsafe {
                             crate::simd::packed_strip_512(
-                                ap, mr, strip, kc, c, i0, j0, mr_eff, nr_eff, n,
+                                ap, mr, strip, kc, c, i0, j0, mr_eff, nr_eff, ldc,
                             )
                         },
                         #[cfg(not(target_arch = "x86_64"))]
@@ -503,83 +526,77 @@ unsafe fn packed_block(
     });
 }
 
-/// One sample × one KC block × one column range, dispatched to the selected
-/// kernel family. This is the unit of work a pool chunk executes.
+/// One KC block × one column range, dispatched to the selected kernel
+/// family: `C[.., j_lo..j_hi] += A_block · B_block`. This is the unit of
+/// work a pool chunk executes, for the plain GEMM entry points and for the
+/// convolution tiles alike.
+///
+/// `b` is the block's B view — it starts at the block's first shared row;
+/// element `(p, j)` is `b[p*ldb + j]` for `Trans::N` and `b[j*ldb + p]` for
+/// `Trans::T` — and `c` points at C's column 0 with row stride `ldc`, so a
+/// B tile and the C it feeds need not share a stride.
 ///
 /// # Safety
-/// `c` must point at the sample's `m × n` output and no other thread may
-/// write columns `j_lo .. j_hi` of it; `abuf` must be packed with `mr`-row
-/// panels for this block; SIMD paths require their CPU features (guaranteed
-/// by [`kernel_path`]).
+/// No other thread may write columns `j_lo .. j_hi` of C; `b` must cover
+/// the block; `abuf` must be packed with `mr`-row panels for this block;
+/// SIMD paths require their CPU features (guaranteed by [`kernel_path`]).
 #[allow(clippy::too_many_arguments)]
 unsafe fn sample_block(
     path: KernelPath,
     op_b: Trans,
     m: usize,
-    k: usize,
-    n: usize,
     abuf: &[f64],
     mr: usize,
     kc: usize,
-    p0: usize,
     b: &[f64],
+    ldb: usize,
     c: *mut f64,
+    ldc: usize,
     j_lo: usize,
     j_hi: usize,
 ) {
     match op_b {
         Trans::N => match path {
             KernelPath::Scalar if m <= MR => unsafe {
-                scalar_edge_block(m, n, abuf, kc, b, p0, c, j_lo, j_hi)
+                scalar_edge_block(m, abuf, kc, b, ldb, c, ldc, j_lo, j_hi)
             },
             KernelPath::Scalar => unsafe {
-                packed_block(path, op_b, m, k, n, abuf, mr, kc, p0, b, c, j_lo, j_hi)
+                packed_block(path, op_b, m, abuf, mr, kc, b, ldb, c, ldc, j_lo, j_hi)
             },
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => unsafe {
-                crate::simd::direct_block_avx2(
-                    abuf,
-                    m,
-                    kc,
-                    b.as_ptr().add(p0 * n),
-                    n,
-                    c,
-                    j_lo,
-                    j_hi,
-                )
+                crate::simd::direct_block_avx2(abuf, m, kc, b.as_ptr(), ldb, c, ldc, j_lo, j_hi)
             },
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx512 => unsafe {
-                crate::simd::direct_block_512(
-                    abuf,
-                    mr,
-                    m,
-                    kc,
-                    b.as_ptr().add(p0 * n),
-                    n,
-                    c,
-                    j_lo,
-                    j_hi,
-                )
+                crate::simd::direct_block_512(abuf, mr, m, kc, b.as_ptr(), ldb, c, ldc, j_lo, j_hi)
             },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("SIMD kernel paths are x86_64-only"),
         },
         Trans::T => unsafe {
-            packed_block(path, op_b, m, k, n, abuf, mr, kc, p0, b, c, j_lo, j_hi)
+            packed_block(path, op_b, m, abuf, mr, kc, b, ldb, c, ldc, j_lo, j_hi)
         },
     }
 }
 
 use crate::pool::SendPtr;
 
-/// Shared driver behind every public entry point.
+/// B view of the KC block starting at shared row `p0` of a `k × n` operand
+/// stored per `op` (see [`sample_block`]): the slice and its stride.
+fn b_block(op: Trans, b: &[f64], k: usize, n: usize, p0: usize) -> (&[f64], usize) {
+    match op {
+        Trans::N => (&b[p0 * n..], n),
+        Trans::T => (&b[p0..], k),
+    }
+}
+
+/// Shared driver behind the public GEMM entry points.
 ///
 /// Computes `C_s += op_a(A) · op_b(B_s)` for `samples` consecutive
 /// `k × n` / `m × n` operand pairs in `b_all` / `c_all`, sharing one packed
-/// copy of A across all samples. The batched conv path uses `samples > 1` to
-/// amortize A packing over a whole mini-batch; the plain entry points pass
-/// `samples == 1`.
+/// copy of A across all samples ([`gemm_batch`] uses `samples > 1`; the
+/// plain entry points pass `samples == 1`).
 ///
 /// Loop order: the shared dimension is blocked by [`KC`] and A packed once
 /// per block. Inside the block the work fans out over [`crate::pool`]:
@@ -610,9 +627,7 @@ fn gemm_driver(
         let mut abuf = ab.borrow_mut();
         for p0 in (0..k).step_by(KC) {
             let kc = KC.min(k - p0);
-            if abuf.len() < m_panels * kc * mr {
-                abuf.resize(m_panels * kc * mr, 0.0);
-            }
+            grow(&mut abuf, m_panels * kc * mr);
             pack_a_block(path, op_a, a, m, k, p0, kc, mr, &mut abuf);
             let abuf: &[f64] = &abuf[..m_panels * kc * mr];
             let c_base = SendPtr(c_all.as_mut_ptr());
@@ -622,27 +637,27 @@ fn gemm_driver(
                     // `Send + Sync` `SendPtr`, not its raw-pointer field.
                     #[allow(clippy::redundant_locals)]
                     let c_base = c_base;
-                    let b = &b_all[s * k * n..][..k * n];
+                    let (b, ldb) = b_block(op_b, &b_all[s * k * n..][..k * n], k, n, p0);
                     // SAFETY: chunk `s` owns sample `s`'s C region.
                     unsafe {
                         sample_block(
                             path,
                             op_b,
                             m,
-                            k,
-                            n,
                             abuf,
                             mr,
                             kc,
-                            p0,
                             b,
+                            ldb,
                             c_base.0.add(s * m * n),
+                            n,
                             0,
                             n,
                         )
                     };
                 });
             } else {
+                let (b, ldb) = b_block(op_b, b_all, k, n, p0);
                 pool::run(n.div_ceil(NC), &|ci| {
                     // Whole-value rebind for disjoint capture (see above).
                     #[allow(clippy::redundant_locals)]
@@ -651,26 +666,410 @@ fn gemm_driver(
                     let j_hi = (j_lo + NC).min(n);
                     // SAFETY: chunk `ci` owns columns `j_lo..j_hi` alone.
                     unsafe {
-                        sample_block(
-                            path, op_b, m, k, n, abuf, mr, kc, p0, b_all, c_base.0, j_lo, j_hi,
-                        )
+                        sample_block(path, op_b, m, abuf, mr, kc, b, ldb, c_base.0, n, j_lo, j_hi)
                     };
                 });
             }
         }
     });
-    let flops = 2 * (samples as u64) * (m as u64) * (k as u64) * (n as u64);
     let mut packed_elems = (m_panels * mr * k) as u64;
-    let packs_b = op_b == Trans::T || (path == KernelPath::Scalar && m > MR);
-    if packs_b {
+    if packs_b(path, op_b, m) {
         packed_elems += (samples as u64) * (n.div_ceil(NR) * NR * k) as u64;
     }
+    let ns = t0.elapsed().as_nanos() as u64;
+    record(path, samples * m * k * n, packed_elems, ns);
+}
+
+/// Whether this path/layout packs B into strips (else B is read in place).
+fn packs_b(path: KernelPath, op_b: Trans, m: usize) -> bool {
+    op_b == Trans::T || (path == KernelPath::Scalar && m > MR)
+}
+
+/// Grows a scratch buffer to at least `len` elements (never shrinks, so a
+/// buffer that has seen its largest shape never reallocates again).
+fn grow(buf: &mut Vec<f64>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
+/// One perf record: `mkn` multiply-adds (2·mkn FLOPs), `packed_elems` f64s
+/// of packing traffic, `ns` nanoseconds.
+fn record(path: KernelPath, mkn: usize, packed_elems: u64, ns: u64) {
     perf::record_gemm(
-        flops,
+        2 * mkn as u64,
         packed_elems * std::mem::size_of::<f64>() as u64,
-        t0.elapsed().as_nanos() as u64,
+        ns,
         path != KernelPath::Scalar,
     );
+}
+
+// ---------------------------------------------------------------------------
+// Convolution lowering through bounded im2col tiles
+// ---------------------------------------------------------------------------
+
+/// Column-matrix columns per im2col tile (and per backward-input block). A
+/// tile is `rows × TILE_COLS` f64s — 800 KiB for the widest Table I layer
+/// (16·5·5 = 400 rows), L2-resident next to the packed panels — whatever
+/// the batch or the grid. Equal to [`KC`], so the backward-weight tiles are
+/// exactly the KC blocks of its shared dimension.
+const TILE_COLS: usize = KC;
+
+/// This thread's im2col tile. The size it holds is published as the
+/// per-rank `pdeml_conv_workspace_bytes` gauge and [`perf`]'s thread-local
+/// reading; `Drop` takes it back off the gauge when the thread exits.
+struct TileBuf {
+    buf: Vec<f64>,
+    /// Telemetry shard the current size is counted under.
+    shard: usize,
+}
+
+impl TileBuf {
+    /// The first `len` elements, after growing the buffer to `cap`
+    /// (`cap ≥ len`; it depends on the layer's rows only).
+    fn take(&mut self, cap: usize, len: usize) -> &mut [f64] {
+        if self.buf.len() < cap {
+            let old = self.bytes();
+            self.buf.resize(cap, 0.0);
+            let shard = crate::live::rank();
+            crate::live::add_conv_workspace(self.shard, -old);
+            crate::live::add_conv_workspace(shard, self.bytes());
+            self.shard = shard;
+            perf::set_conv_workspace(self.bytes() as u64);
+        }
+        &mut self.buf[..len]
+    }
+
+    fn bytes(&self) -> i64 {
+        (self.buf.len() * std::mem::size_of::<f64>()) as i64
+    }
+}
+
+impl Drop for TileBuf {
+    fn drop(&mut self) {
+        crate::live::add_conv_workspace(self.shard, -self.bytes());
+    }
+}
+
+thread_local! {
+    static TILE_BUF: RefCell<TileBuf> = const {
+        RefCell::new(TileBuf { buf: Vec::new(), shard: 0 })
+    };
+}
+
+/// Runs `f` on this thread's tile of `rows × cols` elements (a lowering of a
+/// `rows`-row column matrix never needs more than `rows × TILE_COLS`).
+fn with_tile<R>(rows: usize, cols: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    TILE_BUF.with(|t| f(t.borrow_mut().take(rows * TILE_COLS, rows * cols)))
+}
+
+/// One convolution pass for [`conv_gemm`], over `samples` consecutive
+/// samples. With `rows = c·kh·kw`, `cols = out_h·out_w` and `cols_s` sample
+/// `s`'s column matrix (`im2col`, never materialized):
+pub(crate) enum ConvPass<'a> {
+    /// `out_s (out_c × cols) += weight (out_c × rows) · cols_s`.
+    Forward {
+        input: &'a [f64],
+        weight: &'a [f64],
+        out: &'a mut [f64],
+    },
+    /// `grad_in_s += col2im(weightᵀ (rows × out_c) · grad_out_s)`.
+    BackwardInput {
+        weight: &'a [f64],
+        grad_out: &'a [f64],
+        grad_in: &'a mut [f64],
+    },
+    /// `grad_weight (out_c × rows) += Σ_s grad_out_s (out_c × cols) · cols_sᵀ`,
+    /// samples in ascending order.
+    BackwardWeight {
+        input: &'a [f64],
+        grad_out: &'a [f64],
+        grad_weight: &'a mut [f64],
+    },
+}
+
+/// Lowers one convolution pass through `rows × TILE_COLS` im2col tiles that
+/// are filled straight from the input and fed to the same micro-kernels as
+/// [`gemm`], so no batch- or grid-sized column matrix ever exists. Every
+/// element gets the operations the whole-matrix lowering would give it, in
+/// the same order, so the results are bitwise those of `im2col` followed by
+/// [`gemm_batch`] / [`gemm_tn`] / [`gemm_nt`] (asserted by
+/// `tests/conv_lowering.rs`):
+///
+/// * **Forward** — per sample and column tile, the KC blocks of the shared
+///   dimension in ascending order, each added into the output once.
+/// * **Backward-input** — `weightᵀ · grad_out` for one tile of columns at a
+///   time, then scattered into `grad_in`. The tiles are walked from the
+///   last column to the first: a later column reaches any input pixel
+///   through an earlier kernel tap `(ki, kj)`, so each `grad_in` element
+///   still receives its taps in ascending order, from 0.0.
+/// * **Backward-weight** — tiles are the KC blocks of the shared (column)
+///   dimension; samples in ascending order, blocks in ascending order.
+///
+/// Pool chunks: one per sample (forward and backward-input), one per
+/// column tile for a single-sample forward, and for backward-weight one
+/// equal share of `grad_weight`'s columns per kernel thread. Each output
+/// element is owned by one chunk with a fixed operation order, so every
+/// thread budget gives the same bits. Makes one [`perf`] record with the
+/// pass's FLOPs — one per sample for backward-weight — never one per tile.
+pub(crate) fn conv_gemm(g: &ConvGeom, out_c: usize, samples: usize, pass: ConvPass<'_>) {
+    let (rows, cols) = (g.col_rows(), g.col_cols());
+    if samples == 0 || out_c == 0 || cols == 0 {
+        return;
+    }
+    let t0 = Instant::now();
+    let path = kernel_path();
+    let (packed_elems, records) = match pass {
+        ConvPass::Forward { input, weight, out } => {
+            (conv_forward(path, g, out_c, samples, input, weight, out), 1)
+        }
+        ConvPass::BackwardInput {
+            weight,
+            grad_out,
+            grad_in,
+        } => (
+            conv_backward_input(path, g, out_c, samples, weight, grad_out, grad_in),
+            1,
+        ),
+        ConvPass::BackwardWeight {
+            input,
+            grad_out,
+            grad_weight,
+        } => (
+            conv_backward_weight(path, g, out_c, samples, input, grad_out, grad_weight),
+            samples,
+        ),
+    };
+    // Backward-weight keeps one record per sample, as the per-sample GEMMs
+    // of the batch-fused lowering counted it; each gets an equal share.
+    let ns = t0.elapsed().as_nanos() as u64 / records as u64;
+    for _ in 0..records {
+        let mkn = samples / records * out_c * rows * cols;
+        record(path, mkn, packed_elems / records as u64, ns);
+    }
+}
+
+/// Packs every KC block of the `m × k` matrix `a` (stored per `op`) into
+/// `abuf`, block `p0` at offset `m_panels·mr·p0`.
+fn pack_a_all(
+    path: KernelPath,
+    op: Trans,
+    a: &[f64],
+    m: usize,
+    k: usize,
+    mr: usize,
+    abuf: &mut Vec<f64>,
+) {
+    let panel_len = m.div_ceil(mr) * mr;
+    grow(abuf, panel_len * k);
+    for p0 in (0..k).step_by(KC) {
+        pack_a_block(
+            path,
+            op,
+            a,
+            m,
+            k,
+            p0,
+            KC.min(k - p0),
+            mr,
+            &mut abuf[panel_len * p0..],
+        );
+    }
+}
+
+/// The [`ConvPass::Forward`] lowering; returns the packed element count.
+fn conv_forward(
+    path: KernelPath,
+    g: &ConvGeom,
+    m: usize,
+    samples: usize,
+    input: &[f64],
+    weight: &[f64],
+    out: &mut [f64],
+) -> u64 {
+    let (k, n) = (g.col_rows(), g.col_cols());
+    let x_len = g.c * g.h * g.w;
+    let mr = panel_rows(path, m);
+    let panel_len = m.div_ceil(mr) * mr;
+    let tiles = n.div_ceil(TILE_COLS);
+    let out_base = SendPtr(out.as_mut_ptr());
+    A_BUF.with(|ab| {
+        let mut abuf = ab.borrow_mut();
+        pack_a_all(path, Trans::N, weight, m, k, mr, &mut abuf);
+        let abuf: &[f64] = &abuf[..panel_len * k];
+        // Sample `s`, column tile `t`: fill, then every KC block in order.
+        let tile_job = |s: usize, t: usize, out_base: SendPtr| {
+            let (j0, nb) = (t * TILE_COLS, TILE_COLS.min(n - t * TILE_COLS));
+            with_tile(k, nb, |tile| {
+                im2col_tile(&input[s * x_len..][..x_len], g, 0..k, j0..j0 + nb, tile);
+                for p0 in (0..k).step_by(KC) {
+                    let kc = KC.min(k - p0);
+                    let ap = &abuf[panel_len * p0..][..panel_len * kc];
+                    // SAFETY: the caller's chunk owns columns j0..j0+nb of
+                    // sample s's output (row stride n).
+                    unsafe {
+                        sample_block(
+                            path,
+                            Trans::N,
+                            m,
+                            ap,
+                            mr,
+                            kc,
+                            &tile[p0 * nb..],
+                            nb,
+                            out_base.0.add(s * m * n + j0),
+                            n,
+                            0,
+                            nb,
+                        )
+                    };
+                }
+            });
+        };
+        if samples > 1 {
+            pool::run(samples, &|s| {
+                (0..tiles).for_each(|t| tile_job(s, t, out_base))
+            });
+        } else {
+            pool::run(tiles, &|t| tile_job(0, t, out_base));
+        }
+    });
+    let mut packed = (panel_len * k) as u64;
+    if packs_b(path, Trans::N, m) {
+        packed += (samples * n.div_ceil(NR) * NR * k) as u64;
+    }
+    packed
+}
+
+/// The [`ConvPass::BackwardInput`] lowering; returns the packed element
+/// count.
+fn conv_backward_input(
+    path: KernelPath,
+    g: &ConvGeom,
+    out_c: usize,
+    samples: usize,
+    weight: &[f64],
+    grad_out: &[f64],
+    grad_in: &mut [f64],
+) -> u64 {
+    // The GEMM is (rows × out_c) · (out_c × n): m = rows, k = out_c.
+    let (m, k, n) = (g.col_rows(), out_c, g.col_cols());
+    let x_len = g.c * g.h * g.w;
+    let mr = panel_rows(path, m);
+    let panel_len = m.div_ceil(mr) * mr;
+    let gi_base = SendPtr(grad_in.as_mut_ptr());
+    A_BUF.with(|ab| {
+        let mut abuf = ab.borrow_mut();
+        pack_a_all(path, Trans::T, weight, m, k, mr, &mut abuf);
+        let abuf: &[f64] = &abuf[..panel_len * k];
+        pool::run(samples, &|s| {
+            // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
+            #[allow(clippy::redundant_locals)]
+            let gi_base = gi_base;
+            let go = &grad_out[s * k * n..][..k * n];
+            // SAFETY: chunk `s` owns sample `s`'s disjoint grad_in region.
+            let gi = unsafe { std::slice::from_raw_parts_mut(gi_base.0.add(s * x_len), x_len) };
+            for t in (0..n.div_ceil(TILE_COLS)).rev() {
+                let (j0, nb) = (t * TILE_COLS, TILE_COLS.min(n - t * TILE_COLS));
+                with_tile(m, nb, |tile| {
+                    tile.fill(0.0);
+                    for p0 in (0..k).step_by(KC) {
+                        let kc = KC.min(k - p0);
+                        let ap = &abuf[panel_len * p0..][..panel_len * kc];
+                        // SAFETY: the tile is this chunk's own (row stride nb).
+                        unsafe {
+                            sample_block(
+                                path,
+                                Trans::N,
+                                m,
+                                ap,
+                                mr,
+                                kc,
+                                &go[p0 * n + j0..],
+                                n,
+                                tile.as_mut_ptr(),
+                                nb,
+                                0,
+                                nb,
+                            )
+                        };
+                    }
+                    col2im_tile(tile, g, j0..j0 + nb, gi);
+                });
+            }
+        });
+    });
+    let mut packed = (panel_len * k) as u64;
+    if packs_b(path, Trans::N, m) {
+        packed += (samples * n.div_ceil(NR) * NR * k) as u64;
+    }
+    packed
+}
+
+/// The [`ConvPass::BackwardWeight`] lowering; returns the packed element
+/// count.
+fn conv_backward_weight(
+    path: KernelPath,
+    g: &ConvGeom,
+    m: usize,
+    samples: usize,
+    input: &[f64],
+    grad_out: &[f64],
+    grad_weight: &mut [f64],
+) -> u64 {
+    // The GEMM is (out_c × cols) · (cols × rows): k = cols, n = rows.
+    let (k, n) = (g.col_cols(), g.col_rows());
+    let x_len = g.c * g.h * g.w;
+    let mr = panel_rows(path, m);
+    let panel_len = m.div_ceil(mr) * mr;
+    // One chunk per kernel thread, each walking every sample: a chunk lowers
+    // only its own rows of the tile, so splitting costs just a repacked A
+    // block per chunk.
+    let width = n.div_ceil(pool::thread_budget()).next_multiple_of(NR);
+    let chunks = n.div_ceil(width);
+    let gw_base = SendPtr(grad_weight.as_mut_ptr());
+    pool::run(chunks, &|ci| {
+        // Whole-value rebind keeps the `Send + Sync` SendPtr in the capture.
+        #[allow(clippy::redundant_locals)]
+        let gw_base = gw_base;
+        let (r0, r1) = (ci * width, (ci * width + width).min(n));
+        A_BUF.with(|ab| {
+            let mut abuf = ab.borrow_mut();
+            grow(&mut abuf, panel_len * KC);
+            for s in 0..samples {
+                let x = &input[s * x_len..][..x_len];
+                let go = &grad_out[s * m * k..][..m * k];
+                for p0 in (0..k).step_by(KC) {
+                    let kc = KC.min(k - p0);
+                    pack_a_block(path, Trans::N, go, m, k, p0, kc, mr, &mut abuf);
+                    // The tile is Bᵀ's block: column-matrix rows r0..r1,
+                    // columns p0..p0+kc, i.e. `Trans::T` with stride kc.
+                    with_tile(n, kc, |tile| {
+                        let tile = &mut tile[..(r1 - r0) * kc];
+                        im2col_tile(x, g, r0..r1, p0..p0 + kc, tile);
+                        // SAFETY: chunk `ci` owns grad_weight columns r0..r1.
+                        unsafe {
+                            packed_block(
+                                path,
+                                Trans::T,
+                                m,
+                                &abuf[..panel_len * kc],
+                                mr,
+                                kc,
+                                tile,
+                                kc,
+                                gw_base.0.add(r0),
+                                n,
+                                0,
+                                r1 - r0,
+                            )
+                        };
+                    });
+                }
+            }
+        });
+    });
+    (samples * (chunks * panel_len * k + n.div_ceil(NR) * NR * k)) as u64
 }
 
 /// `C += A * B` on flat row-major buffers.
@@ -712,8 +1111,8 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
 /// Batched `C_s += A * B_s` sharing one packed copy of A across the batch.
 ///
 /// `a` is `m × k`; `b_all` holds `samples` consecutive `k × n` matrices and
-/// `c_all` the matching `m × n` outputs. Used by the batch-fused convolution
-/// forward pass: one call per layer per mini-batch.
+/// `c_all` the matching `m × n` outputs. Bitwise equal to per-sample
+/// [`gemm`] calls.
 pub fn gemm_batch(
     samples: usize,
     m: usize,
@@ -727,58 +1126,6 @@ pub fn gemm_batch(
     assert_eq!(b_all.len(), samples * k * n, "gemm_batch: B length");
     assert_eq!(c_all.len(), samples * m * n, "gemm_batch: C length");
     gemm_driver(Trans::N, Trans::N, samples, m, k, n, a, b_all, c_all);
-}
-
-/// Batched `C_s += Aᵀ * B_s` sharing one packed copy of A across the batch.
-///
-/// `a` is `k × m`; `b_all` / `c_all` as in [`gemm_batch`]. Used by the
-/// batch-fused convolution input-gradient pass.
-pub fn gemm_tn_batch(
-    samples: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b_all: &[f64],
-    c_all: &mut [f64],
-) {
-    assert_eq!(a.len(), k * m, "gemm_tn_batch: A length");
-    assert_eq!(b_all.len(), samples * k * n, "gemm_tn_batch: B length");
-    assert_eq!(c_all.len(), samples * m * n, "gemm_tn_batch: C length");
-    gemm_driver(Trans::T, Trans::N, samples, m, k, n, a, b_all, c_all);
-}
-
-/// Batched `C += Σ_s A_s * B_sᵀ`: all samples accumulate into one shared C.
-///
-/// `a_all` holds `samples` consecutive `m × k` matrices, `b_all` the matching
-/// `n × k` matrices, `c` the single shared `m × n` accumulator. Used by the
-/// batch-fused convolution weight-gradient pass, where every sample
-/// contributes to the same gradient tile.
-pub fn gemm_nt_batch(
-    samples: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a_all: &[f64],
-    b_all: &[f64],
-    c: &mut [f64],
-) {
-    assert_eq!(a_all.len(), samples * m * k, "gemm_nt_batch: A length");
-    assert_eq!(b_all.len(), samples * n * k, "gemm_nt_batch: B length");
-    assert_eq!(c.len(), m * n, "gemm_nt_batch: C length");
-    for s in 0..samples {
-        gemm_driver(
-            Trans::N,
-            Trans::T,
-            1,
-            m,
-            k,
-            n,
-            &a_all[s * m * k..][..m * k],
-            &b_all[s * n * k..][..n * k],
-            c,
-        );
-    }
 }
 
 /// Convenience wrapper: full product of two [`Matrix`] values.
@@ -912,9 +1259,7 @@ mod tests {
     fn batched_variants_match_per_sample_calls() {
         let (samples, m, k, n) = (3, 5, 13, 9);
         let a = det_fill(m * k, 11);
-        let a_t = det_fill(k * m, 12);
         let b_all = det_fill(samples * k * n, 13);
-        let bt_all = det_fill(samples * n * k, 14);
 
         // gemm_batch vs per-sample gemm.
         let mut c_batch = vec![0.0; samples * m * n];
@@ -928,36 +1273,6 @@ mod tests {
                 "gemm_batch sample {s}"
             );
         }
-
-        // gemm_tn_batch vs per-sample gemm_tn.
-        let mut c_batch = vec![0.0; samples * m * n];
-        gemm_tn_batch(samples, m, k, n, &a_t, &b_all, &mut c_batch);
-        for s in 0..samples {
-            let mut c_one = vec![0.0; m * n];
-            gemm_tn(m, k, n, &a_t, &b_all[s * k * n..][..k * n], &mut c_one);
-            assert_eq!(
-                &c_batch[s * m * n..][..m * n],
-                &c_one[..],
-                "gemm_tn_batch sample {s}"
-            );
-        }
-
-        // gemm_nt_batch vs accumulating per-sample gemm_nt.
-        let a_all = det_fill(samples * m * k, 15);
-        let mut c_shared = vec![0.0; m * n];
-        gemm_nt_batch(samples, m, k, n, &a_all, &bt_all, &mut c_shared);
-        let mut c_ref = vec![0.0; m * n];
-        for s in 0..samples {
-            gemm_nt(
-                m,
-                k,
-                n,
-                &a_all[s * m * k..][..m * k],
-                &bt_all[s * n * k..][..n * k],
-                &mut c_ref,
-            );
-        }
-        assert_eq!(c_shared, c_ref, "gemm_nt_batch vs per-sample accumulation");
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! a matrix so the convolution becomes a single GEMM — the classic lowering
 //! used by CPU deep-learning frameworks. `col2im` is its adjoint and is the
 //! core of the input-gradient pass.
+//!
+//! The convolution passes never build a whole column matrix: they lower
+//! through bounded tiles, a range of rows × a range of columns, with
+//! `im2col_tile` and scatter whole-height tiles back with `col2im_tile`
+//! (see `gemm::conv_gemm`). The whole-sample [`im2col`] and [`col2im`]
+//! remain as the straightforward reference the tiled passes are tested
+//! against, bitwise.
+
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution over one sample.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,6 +199,162 @@ pub fn col2im(cols: &[f64], g: &ConvGeom, output: &mut [f64]) {
                 }
             }
         }
+    }
+}
+
+/// The `(channel, ki, kj)` taps of column-matrix rows `rows`, in order,
+/// stepped without a division per row (small grids have short rows).
+fn taps(g: &ConvGeom, rows: Range<usize>) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let r = rows.start;
+    let first = (r / (g.kh * g.kw), r / g.kw % g.kh, r % g.kw);
+    std::iter::successors(Some(first), |&(c, ki, kj)| {
+        Some(match (ki + 1 == g.kh, kj + 1 == g.kw) {
+            (_, false) => (c, ki, kj + 1),
+            (false, true) => (c, ki + 1, 0),
+            (true, true) => (c + 1, 0, 0),
+        })
+    })
+    .take(rows.len())
+}
+
+/// Column-matrix columns `cols` as runs along one output row each:
+/// `(oi, oj_lo, oj_hi, offset)` in ascending column order, `offset` being the
+/// run's first column relative to `cols.start`.
+#[derive(Clone, Copy)]
+struct Runs {
+    oi: usize,
+    oj: usize,
+    ow: usize,
+    len: usize,
+}
+
+impl Runs {
+    fn new(g: &ConvGeom, cols: &Range<usize>) -> Self {
+        let ow = g.out_w();
+        Runs {
+            oi: cols.start / ow,
+            oj: cols.start % ow,
+            ow,
+            len: cols.len(),
+        }
+    }
+
+    #[inline]
+    fn for_each(self, mut f: impl FnMut(usize, usize, usize, usize)) {
+        let (mut oi, mut oj_lo, mut off) = (self.oi, self.oj, 0);
+        while off < self.len {
+            let oj_hi = self.ow.min(oj_lo + (self.len - off));
+            f(oi, oj_lo, oj_hi, off);
+            off += oj_hi - oj_lo;
+            (oi, oj_lo) = (oi + 1, 0);
+        }
+    }
+}
+
+/// Stride-1 output columns `oj ∈ lo..hi` of tap column `kj` whose input
+/// column `oj + kj − pad` lies in `0..w` (computed once per tile row).
+#[inline]
+fn valid_cols(g: &ConvGeom, kj: usize) -> (usize, usize) {
+    (g.pad.saturating_sub(kj), (g.w + g.pad).saturating_sub(kj))
+}
+
+/// `valid` (from [`valid_cols`]) cut to the run `oj_lo..oj_hi`: `lo ≤ hi`,
+/// both within the run.
+#[inline]
+fn cut(valid: (usize, usize), oj_lo: usize, oj_hi: usize) -> (usize, usize) {
+    let lo = valid.0.max(oj_lo).min(oj_hi);
+    (lo, valid.1.min(oj_hi).max(lo))
+}
+
+/// `dst += src`, elementwise (two slices the caller knows do not overlap).
+#[inline]
+fn add_into(dst: &mut [f64], src: &[f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// Writes rows `rows` × columns `cols` of `input`'s column matrix — exactly
+/// what [`im2col`] writes there — into `tile`, row-major with row stride
+/// `cols.len()`. This is how the convolution passes lower: one bounded
+/// tile at a time, straight from the sample.
+pub(crate) fn im2col_tile(
+    input: &[f64],
+    g: &ConvGeom,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    tile: &mut [f64],
+) {
+    let (nb, runs) = (cols.len(), Runs::new(g, &cols));
+    for ((c, ki, kj), dst) in taps(g, rows).zip(tile.chunks_exact_mut(nb)) {
+        let plane = &input[c * g.h * g.w..][..g.h * g.w];
+        let valid = valid_cols(g, kj);
+        runs.for_each(|oi, oj_lo, oj_hi, off| {
+            let run = &mut dst[off..off + oj_hi - oj_lo];
+            let ii = (oi * g.stride + ki) as isize - g.pad as isize;
+            if ii < 0 || ii >= g.h as isize {
+                run.fill(0.0);
+                return;
+            }
+            let src = &plane[ii as usize * g.w..][..g.w];
+            if g.stride == 1 {
+                // Zeros / one bulk copy / zeros, as in `im2col`.
+                let (lo, hi) = cut(valid, oj_lo, oj_hi);
+                run[..lo - oj_lo].fill(0.0);
+                if hi > lo {
+                    run[lo - oj_lo..hi - oj_lo]
+                        .copy_from_slice(&src[lo + kj - g.pad..hi + kj - g.pad]);
+                }
+                run[hi - oj_lo..].fill(0.0);
+                return;
+            }
+            for (v, oj) in run.iter_mut().zip(oj_lo..oj_hi) {
+                let jj = (oj * g.stride + kj) as isize - g.pad as isize;
+                *v = if jj < 0 || jj >= g.w as isize {
+                    0.0
+                } else {
+                    src[jj as usize]
+                };
+            }
+        });
+    }
+}
+
+/// Adjoint of [`im2col_tile`] for whole-height tiles: accumulates columns
+/// `cols` of the column matrix (`tile`, every row, row stride `cols.len()`)
+/// onto the `(C, H, W)` sample `output`, in [`col2im`]'s loop order.
+///
+/// Within a tile each output element receives its kernel taps `(ki, kj)`
+/// in ascending order. Across tiles, a later column reaches a given input
+/// pixel through an earlier tap, so callers that want [`col2im`]'s exact
+/// sums scatter the tiles of a sample from the last column to the first.
+pub(crate) fn col2im_tile(tile: &[f64], g: &ConvGeom, cols: Range<usize>, output: &mut [f64]) {
+    let (nb, runs) = (cols.len(), Runs::new(g, &cols));
+    for ((c, ki, kj), src) in taps(g, 0..g.col_rows()).zip(tile.chunks_exact(nb)) {
+        let plane = &mut output[c * g.h * g.w..][..g.h * g.w];
+        let valid = valid_cols(g, kj);
+        runs.for_each(|oi, oj_lo, oj_hi, off| {
+            let run = &src[off..off + oj_hi - oj_lo];
+            let ii = (oi * g.stride + ki) as isize - g.pad as isize;
+            if ii < 0 || ii >= g.h as isize {
+                return;
+            }
+            let dst = &mut plane[ii as usize * g.w..][..g.w];
+            if g.stride == 1 {
+                let (lo, hi) = cut(valid, oj_lo, oj_hi);
+                if hi > lo {
+                    let dst = &mut dst[lo + kj - g.pad..hi + kj - g.pad];
+                    add_into(dst, &run[lo - oj_lo..hi - oj_lo]);
+                }
+                return;
+            }
+            for (&v, oj) in run.iter().zip(oj_lo..oj_hi) {
+                let jj = (oj * g.stride + kj) as isize - g.pad as isize;
+                if jj >= 0 && jj < g.w as isize {
+                    dst[jj as usize] += v;
+                }
+            }
+        });
     }
 }
 

@@ -1,8 +1,8 @@
 //! Row-major 2-D matrix.
 //!
-//! [`Matrix`] is the flat container behind the GEMM-based convolution path
-//! ([`crate::im2col`] lowers a convolution to one `gemm` call per sample) and
-//! is also handy for small dense linear algebra in tests.
+//! [`Matrix`] is a flat container for small dense linear algebra
+//! ([`crate::gemm::matmul`]) and tests; the convolution passes work on
+//! flat slices and lower through im2col tiles (see [`crate::conv`]).
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};

@@ -28,6 +28,7 @@ thread_local! {
     static KERNEL_NS: Cell<u64> = const { Cell::new(0) };
     static SIMD_CALLS: Cell<u64> = const { Cell::new(0) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static CONV_WORKSPACE: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Records one GEMM driver invocation: its FLOP count, packed-panel
@@ -51,6 +52,19 @@ pub(crate) fn record_gemm(flops: u64, bytes_packed: u64, ns: u64, simd: bool) {
         flops,
         bytes_packed,
     );
+}
+
+/// Notes the size of this thread's convolution tile buffer after it grew.
+pub(crate) fn set_conv_workspace(bytes: u64) {
+    CONV_WORKSPACE.with(|c| c.set(bytes));
+}
+
+/// Bytes of im2col tile this thread holds for the convolution passes — its
+/// share of the per-rank `pdeml_conv_workspace_bytes` gauge. The tile is
+/// sized by the widest layer this thread has lowered (`rows × 256` f64s),
+/// never by the batch or the grid; pool workers hold their own.
+pub fn conv_workspace_bytes() -> u64 {
+    CONV_WORKSPACE.with(Cell::get)
 }
 
 /// A point-in-time (or difference of) reading of this thread's counters.

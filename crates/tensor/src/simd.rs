@@ -5,8 +5,9 @@
 //! * **AVX-512** — the primary path. Row-major B (`Trans::N`) is consumed
 //!   *in place* ("direct-B"): profiling showed packing B costs as much as
 //!   all the FMA work at this workspace's shapes (m ≤ 16), so the micro-
-//!   kernel reads 16-column B rows straight from the operand with stride
-//!   `n`, and only A is packed. Full tiles run an `8 × 16` kernel (16 zmm
+//!   kernel reads 16-column B rows straight from the operand (or from a
+//!   convolution's im2col tile) with row stride `ldb`, and only A is
+//!   packed. Full tiles run an `8 × 16` kernel (16 zmm
 //!   accumulators); the column remainder uses masked loads/stores; `m ≤ 4`
 //!   shapes run a dedicated 4-row kernel so the register file is not wasted
 //!   on zero padding (the old scalar `small_m` cliff, ISSUE 6 satellite 1).
@@ -141,7 +142,7 @@ pub(crate) unsafe fn pack_a8_n_512(
 // ---------------------------------------------------------------------------
 
 /// Direct-B full tile: `MR` rows × [`TILE_512`] columns, B read in place.
-/// `b` points at B's block row (`b[p*n + j]` is element `(p0+p, j)`).
+/// `b` points at B's block row (`b[p*ldb + j]` is element `(p0+p, j)`).
 ///
 /// # Safety
 /// Requires AVX-512F; `ap` holds a `kc × MR` panel; B columns `j0..j0+16`
@@ -151,9 +152,10 @@ pub(crate) unsafe fn pack_a8_n_512(
 unsafe fn direct_full_512<const MR: usize>(
     ap: &[f64],
     b: *const f64,
-    n: usize,
+    ldb: usize,
     kc: usize,
     c: *mut f64,
+    ldc: usize,
     i0: usize,
     j0: usize,
     mr_eff: usize,
@@ -173,13 +175,13 @@ unsafe fn direct_full_512<const MR: usize>(
                 acc1[r] = _mm512_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.add(ldb);
         }
     }
     for r in 0..mr_eff {
         // SAFETY: this tile owns C rows i0..i0+mr_eff, columns j0..j0+16.
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.add((i0 + r) * ldc + j0);
             _mm512_storeu_pd(cp, _mm512_add_pd(_mm512_loadu_pd(cp), acc0[r]));
             _mm512_storeu_pd(
                 cp.add(8),
@@ -199,9 +201,10 @@ unsafe fn direct_full_512<const MR: usize>(
 unsafe fn direct_edge_512<const MR: usize>(
     ap: &[f64],
     b: *const f64,
-    n: usize,
+    ldb: usize,
     kc: usize,
     c: *mut f64,
+    ldc: usize,
     i0: usize,
     j0: usize,
     mr_eff: usize,
@@ -230,13 +233,13 @@ unsafe fn direct_edge_512<const MR: usize>(
                 acc1[r] = _mm512_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.add(ldb);
         }
     }
     for r in 0..mr_eff {
         // SAFETY: masked read-modify-write of the owned C edge tile.
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.add((i0 + r) * ldc + j0);
             let prev0 = _mm512_maskz_loadu_pd(m0, cp);
             _mm512_mask_storeu_pd(cp, m0, _mm512_add_pd(prev0, acc0[r]));
             if w1 > 0 {
@@ -253,8 +256,8 @@ unsafe fn direct_edge_512<const MR: usize>(
 ///
 /// # Safety
 /// Requires AVX-512F; `abuf` holds `ceil(m/mr)` packed `kc × mr` panels;
-/// `b` points at B's block row with row stride `n`; the caller owns C
-/// columns `j_lo..j_hi` (row stride `n`) exclusively.
+/// `b` points at B's block row with row stride `ldb`; the caller owns C
+/// columns `j_lo..j_hi` (row stride `ldc`) exclusively.
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn direct_block_512(
@@ -263,8 +266,9 @@ pub(crate) unsafe fn direct_block_512(
     m: usize,
     kc: usize,
     b: *const f64,
-    n: usize,
+    ldb: usize,
     c: *mut f64,
+    ldc: usize,
     j_lo: usize,
     j_hi: usize,
 ) {
@@ -278,9 +282,9 @@ pub(crate) unsafe fn direct_block_512(
             // SAFETY: per-tile bounds established above.
             unsafe {
                 if mr == 8 {
-                    direct_full_512::<8>(ap, b, n, kc, c, i0, j0, mr_eff);
+                    direct_full_512::<8>(ap, b, ldb, kc, c, ldc, i0, j0, mr_eff);
                 } else {
-                    direct_full_512::<4>(ap, b, n, kc, c, i0, j0, mr_eff);
+                    direct_full_512::<4>(ap, b, ldb, kc, c, ldc, i0, j0, mr_eff);
                 }
             }
         }
@@ -294,9 +298,9 @@ pub(crate) unsafe fn direct_block_512(
             // SAFETY: masked edge stays within columns j0..j_hi.
             unsafe {
                 if mr == 8 {
-                    direct_edge_512::<8>(ap, b, n, kc, c, i0, j0, mr_eff, nr_eff);
+                    direct_edge_512::<8>(ap, b, ldb, kc, c, ldc, i0, j0, mr_eff, nr_eff);
                 } else {
-                    direct_edge_512::<4>(ap, b, n, kc, c, i0, j0, mr_eff, nr_eff);
+                    direct_edge_512::<4>(ap, b, ldb, kc, c, ldc, i0, j0, mr_eff, nr_eff);
                 }
             }
         }
@@ -411,7 +415,7 @@ unsafe fn mask4(w: usize) -> __m256i {
 }
 
 /// Direct-B full tile on AVX2: 4 rows × [`TILE_AVX2`] columns (two ymm
-/// accumulator columns), B read in place with row stride `n`.
+/// accumulator columns), B read in place with row stride `ldb`.
 ///
 /// # Safety
 /// Requires AVX2+FMA; `ap` holds a `kc × 4` panel; B columns `j0..j0+8`
@@ -421,9 +425,10 @@ unsafe fn mask4(w: usize) -> __m256i {
 unsafe fn direct_full_avx2(
     ap: &[f64],
     b: *const f64,
-    n: usize,
+    ldb: usize,
     kc: usize,
     c: *mut f64,
+    ldc: usize,
     i0: usize,
     j0: usize,
     mr_eff: usize,
@@ -444,13 +449,13 @@ unsafe fn direct_full_avx2(
                 acc1[r] = _mm256_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.add(ldb);
         }
     }
     for r in 0..mr_eff {
         // SAFETY: owned C tile.
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.add((i0 + r) * ldc + j0);
             _mm256_storeu_pd(cp, _mm256_add_pd(_mm256_loadu_pd(cp), acc0[r]));
             _mm256_storeu_pd(
                 cp.add(4),
@@ -470,9 +475,10 @@ unsafe fn direct_full_avx2(
 unsafe fn direct_edge_avx2(
     ap: &[f64],
     b: *const f64,
-    n: usize,
+    ldb: usize,
     kc: usize,
     c: *mut f64,
+    ldc: usize,
     i0: usize,
     j0: usize,
     mr_eff: usize,
@@ -501,13 +507,13 @@ unsafe fn direct_edge_avx2(
                 acc1[r] = _mm256_fmadd_pd(av, bv1, acc1[r]);
             }
             a = a.add(MR);
-            bp = bp.add(n);
+            bp = bp.add(ldb);
         }
     }
     for r in 0..mr_eff {
         // SAFETY: masked read-modify-write of the owned C edge.
         unsafe {
-            let cp = c.add((i0 + r) * n + j0);
+            let cp = c.add((i0 + r) * ldc + j0);
             let prev0 = _mm256_maskload_pd(cp, m0);
             _mm256_maskstore_pd(cp, m0, _mm256_add_pd(prev0, acc0[r]));
             if w1 > 0 {
@@ -524,8 +530,8 @@ unsafe fn direct_edge_avx2(
 ///
 /// # Safety
 /// Requires AVX2+FMA; `abuf` holds `ceil(m/4)` packed `kc × 4` panels; `b`
-/// points at B's block row with row stride `n`; the caller owns C columns
-/// `j_lo..j_hi` (row stride `n`) exclusively.
+/// points at B's block row with row stride `ldb`; the caller owns C columns
+/// `j_lo..j_hi` (row stride `ldc`) exclusively.
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn direct_block_avx2(
@@ -533,8 +539,9 @@ pub(crate) unsafe fn direct_block_avx2(
     m: usize,
     kc: usize,
     b: *const f64,
-    n: usize,
+    ldb: usize,
     c: *mut f64,
+    ldc: usize,
     j_lo: usize,
     j_hi: usize,
 ) {
@@ -546,7 +553,7 @@ pub(crate) unsafe fn direct_block_avx2(
             let ap = &abuf[ip * kc * MR..][..kc * MR];
             // SAFETY: per-tile bounds established above.
             unsafe {
-                direct_full_avx2(ap, b, n, kc, c, ip * MR, j0, MR.min(m - ip * MR));
+                direct_full_avx2(ap, b, ldb, kc, c, ldc, ip * MR, j0, MR.min(m - ip * MR));
             }
         }
         j0 += TILE_AVX2;
@@ -557,7 +564,18 @@ pub(crate) unsafe fn direct_block_avx2(
             let ap = &abuf[ip * kc * MR..][..kc * MR];
             // SAFETY: masked edge stays within columns j0..j_hi.
             unsafe {
-                direct_edge_avx2(ap, b, n, kc, c, ip * MR, j0, MR.min(m - ip * MR), nr_eff);
+                direct_edge_avx2(
+                    ap,
+                    b,
+                    ldb,
+                    kc,
+                    c,
+                    ldc,
+                    ip * MR,
+                    j0,
+                    MR.min(m - ip * MR),
+                    nr_eff,
+                );
             }
         }
     }
